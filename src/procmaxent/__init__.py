@@ -60,6 +60,7 @@ from .solver import (
     SolverOptions,
     boundary_resolve,
     dual_eval,
+    dual_hessian,
     solve_biased,
     solve_maxent,
     solve_state_maxent,

@@ -10,7 +10,7 @@ map that prepares it from Psi+.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,7 @@ def tp_constraints(d):
     ]
 
 
-def _independence_report(ops, extra_identity_dim=None):
+def _independence_report(ops):
     """Incrementally find operators dependent on their predecessors.
 
     The identity is always part of the span (the normalization Tr = 1).

@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .channels import ChoiState, QubitAffineMap, bloch_affine_map
 from .errors import BoundaryCaseError, InvariantError, OracleFailureError
@@ -126,6 +125,10 @@ def oracle_O1_transcendental(r, m, r_hat=(0.0, 0.0, 1.0)):
     """Estimate for a mixed test state of Bloch radius r in (0, 1): the
     multipliers solve two coupled hyperbolic equations, found here by an
     independent root finder and checked to residual 1e-12."""
+    # Imported here, its only use, so that importing the package (and
+    # every CLI launch) does not load scipy.
+    from scipy import optimize
+
     if not (0.0 < r < 1.0):
         raise InvariantError(f"r must lie in (0, 1), got {r}")
     if abs(m) >= 1.0:

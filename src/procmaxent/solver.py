@@ -4,8 +4,20 @@ dual, plus relative-entropy minimization against a prior channel.
 The estimate has the exponential-family form omega = exp(-sum_j lam_j
 X_j)/Z; the multipliers minimize the smooth, strictly convex dual D(lam)
 = ln Z(lam) + lam . x whose gradient is x_j - Tr[omega(lam) X_j].  The
-dual is minimized by a damped Newton iteration with the exact gradient
-(one eigendecomposition per evaluation) and a finite-difference Hessian.
+dual is minimized by a damped Newton iteration.  One eigendecomposition
+A = V diag(w) V^dag of the exponent gives the value, the gradient and
+the exact Hessian, the Kubo-Mori (Bogoliubov) covariance
+
+    H_jk = Re sum_ab K_ab (Y_j)_ab (Y_k)_ba - m_j m_k,
+    K_ab = (p_a - p_b)/(w_a - w_b),  K_aa = p_a,
+
+with Gibbs weights p = e^w/Z, eigenbasis constraints Y_j = V^dag X_j V
+and means m_j = Tr(omega X_j) (Bhatia, Matrix Analysis, sec. V.3; Petz
+and Toth, Lett. Math. Phys. 27, 205 (1993)).  The Armijo line search
+also accepts a step whose change in the dual value is at round-off
+level when it still lowers the gradient's max-norm: near the optimum
+the dual is flat to machine precision and Armijo alone cannot tell a
+good step from a bad one.
 
 Targets sitting on the boundary of the jointly feasible set make the
 dual infimum unattained: the multipliers diverge along a recession
@@ -17,8 +29,7 @@ recession value u . x - lambda_min(sum u_j X_j) being negative.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +41,7 @@ from .errors import (
     InfeasibleError,
     InvariantError,
 )
-from .linalg import LN2, dag, frobenius
+from .linalg import dag, frobenius
 from .observations import Constraint, ObservationLevel
 
 _MAX_FACE_DEPTH = 4
@@ -81,10 +92,13 @@ class DualPoint(NamedTuple):
     value: float
     gradient: np.ndarray
     omega: np.ndarray
+    w: np.ndarray         # eigenvalues of the exponent, ascending
+    V: np.ndarray         # its eigenvectors (columns)
 
 
 def _dual_pieces(lam, ops, targets, base=None):
-    """Dual value, gradient and primal state from one eigendecomposition.
+    """Dual value, gradient and primal state from one eigendecomposition,
+    which the point keeps for dual_hessian.
 
     ln Z is computed with a max-eigenvalue shift for overflow safety.
     """
@@ -101,7 +115,7 @@ def _dual_pieces(lam, ops, targets, base=None):
     omega = (V * (ew / Z)) @ dag(V)
     means = np.einsum("jkl,lk->j", ops, omega).real
     grad = targets - means
-    return DualPoint(ln_z + float(lam @ targets), grad, omega)
+    return DualPoint(ln_z + float(lam @ targets), grad, omega, w, V)
 
 
 def dual_eval(lam, constraints, base=None):
@@ -112,16 +126,29 @@ def dual_eval(lam, constraints, base=None):
     return _dual_pieces(lam, ops, targets, base=base)
 
 
-def _fd_hessian(lam, ops, targets, base):
-    n = len(lam)
-    H = np.empty((n, n))
-    for j in range(n):
-        h = 1e-6 * (1.0 + abs(lam[j]))
-        e = np.zeros(n)
-        e[j] = h
-        gp = _dual_pieces(lam + e, ops, targets, base).gradient
-        gm = _dual_pieces(lam - e, ops, targets, base).gradient
-        H[:, j] = (gp - gm) / (2.0 * h)
+def dual_hessian(point, ops):
+    """Exact Hessian of the dual at a DualPoint: the Kubo-Mori covariance
+    of the operators ops (stacked, in the frame of the point).
+
+    Centering Y_j on its mean folds the -m_j m_k term into the sum, so
+    H = Re(G G^dag) with G_j = sqrt(K) * (Y_j - m_j I) is positive
+    semidefinite by construction.  K_ab is evaluated as max(p_a, p_b)
+    (1 - e^-|w_a - w_b|)/|w_a - w_b|, which neither overflows nor loses
+    the divided difference to cancellation.
+    """
+    w, V = point.w, point.V
+    p = np.exp(w - w[-1])
+    p /= p.sum()
+    dw = np.abs(w[:, None] - w[None, :])
+    nonzero = dw > 0.0
+    ratio = np.ones_like(dw)
+    ratio[nonzero] = -np.expm1(-dw[nonzero]) / dw[nonzero]
+    K = np.maximum(p[:, None], p[None, :]) * ratio
+    Y = dag(V) @ np.asarray(ops) @ V
+    diag = np.arange(len(w))
+    Y[:, diag, diag] -= (Y[:, diag, diag].real @ p)[:, None]
+    G = (np.sqrt(K) * Y).reshape(len(Y), K.size)
+    H = (G @ dag(G)).real
     return 0.5 * (H + H.T)
 
 
@@ -145,7 +172,7 @@ def _newton(ops, targets, base, opts):
         if np.abs(lam).max() > hard_cap:
             return _NewtonResult("diverged", lam, pt, iters)
         iters += 1
-        H = _fd_hessian(lam, ops, targets, base)
+        H = dual_hessian(pt, ops)
         reg = 1e-12 * max(1.0, abs(np.trace(H)) / n)
         try:
             step = np.linalg.solve(H + reg * np.eye(n), -pt.gradient)
@@ -155,11 +182,16 @@ def _newton(ops, targets, base, opts):
         if slope >= 0.0:
             step = -pt.gradient
             slope = -float(pt.gradient @ pt.gradient)
+        # Near the optimum the dual changes by less than its round-off;
+        # there a step is judged by the gradient's max-norm instead.
+        roundoff = 1e-12 * max(1.0, abs(pt.value))
         t = 1.0
         accepted = None
         for _ in range(opts.max_backtracks):
             cand = _dual_pieces(lam + t * step, ops, targets, base)
-            if cand.value <= pt.value + opts.armijo_c * t * slope:
+            if (cand.value <= pt.value + opts.armijo_c * t * slope
+                    or (abs(cand.value - pt.value) <= roundoff
+                        and np.abs(cand.gradient).max() < gnorm)):
                 accepted = cand
                 break
             t *= opts.backtrack

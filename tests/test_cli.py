@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +21,8 @@ from procmaxent.cli import (
 )
 from procmaxent.linalg import frobenius
 
-FIXTURES = str(pathlib.Path(__file__).resolve().parent.parent / "demos" / "fixtures")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = str(ROOT / "demos" / "fixtures")
 
 
 def write_json(tmp_path, name, doc):
@@ -36,6 +40,17 @@ def read_choi(doc):
     re = np.asarray(doc["choi"]["re"])
     im = np.asarray(doc["choi"]["im"])
     return re + 1j * im
+
+
+def test_cli_import_does_not_load_scipy():
+    # Every launch imports procmaxent.cli; scipy is needed only by one oracle.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = "import sys, procmaxent.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 class TestParsing:

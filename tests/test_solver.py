@@ -15,6 +15,7 @@ from procmaxent import (
     boundary_resolve,
     choi_from_apply,
     dual_eval,
+    dual_hessian,
     expectation,
     random_channel,
     reduce_ancilla_free,
@@ -31,6 +32,7 @@ from procmaxent.linalg import (
     bloch_to_density,
     dag,
     frobenius,
+    hermitian_basis,
 )
 
 from conftest import random_hermitian, random_state, random_unit_vector, random_unitary
@@ -72,6 +74,38 @@ class TestDualEval:
             e[j] = h
             fd = (dual_eval(lam + e, cons).value - dual_eval(lam - e, cons).value) / (2 * h)
             assert abs(fd - pt.gradient[j]) < 1e-6 * max(1.0, abs(fd))
+
+    @pytest.mark.parametrize("case", ["random", "base", "degenerate", "overflow"])
+    def test_hessian_matches_finite_differences(self, rng, case):
+        dim, n = 6, 5
+        cons = [
+            Constraint(random_hermitian(dim, rng), 0.0, label=f"c{j}")
+            for j in range(n)
+        ]
+        ops = np.array([c.operator for c in cons])
+        base = None
+        lam = rng.standard_normal(n) * 0.3
+        if case == "base":
+            # solve_biased frame: log of a full-rank prior spectrum
+            base = np.diag(np.log(rng.dirichlet(np.ones(dim)))).astype(complex)
+        elif case == "degenerate":
+            lam = np.zeros(n)
+        elif case == "overflow":
+            # spread of the exponent's spectrum far past exp's range
+            lam *= 1000.0 / np.ptp(dual_eval(lam, cons).w)
+        pt = dual_eval(lam, cons, base)
+        if case == "overflow":
+            assert np.ptp(pt.w) > 800
+        H = dual_hessian(pt, ops)
+        assert np.isfinite(H).all()
+        fd = np.empty((n, n))
+        for k in range(n):
+            e = np.zeros(n)
+            e[k] = 1e-6 * (1.0 + abs(lam[k]))
+            gp = dual_eval(lam + e, cons, base).gradient
+            gm = dual_eval(lam - e, cons, base).gradient
+            fd[:, k] = (gp - gm) / (2.0 * e[k])
+        assert np.abs(H - fd).max() <= 1e-6 * np.abs(fd).max()
 
     def test_gradient_sign_convention(self):
         # gradient component is target - Tr(omega X)
@@ -194,6 +228,43 @@ class TestSolveMaxent:
         assert sol.labels == ("m", "tp:0", "tp:1", "tp:2")
         assert len(sol.multipliers) == 4
         assert sol.multipliers[0] == pytest.approx(-np.arctanh(0.5), abs=1e-8)
+
+
+def _interior_biased_problem(d, probes, seed):
+    """Full-Kraus-rank channel and prior, random pure probes each followed
+    by full output tomography, exact means."""
+    rng = np.random.default_rng(seed)
+    truth = random_channel(d, d * d, rng)
+    prior = PriorChannel(random_channel(d, d * d, rng))
+    specs = []
+    for p in range(probes):
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        rho = np.outer(v, v.conj()) / np.vdot(v, v).real
+        specs += [
+            ProcessMeasurementSpec("ancilla_free", state=rho, observable=F,
+                                   label=f"p{p}:{k}")
+            for k, F in enumerate(hermitian_basis(d))
+        ]
+    return simulate_means(truth, specs), prior
+
+
+class TestNewtonConvergence:
+    # Near the optimum the dual changes by less than the round-off of
+    # ln Z; an Armijo test alone then backtracks to nothing and the
+    # iteration stalls on a few percent of such problems.
+    @pytest.mark.parametrize("d, probes, count", [(3, 3, 40), (2, 2, 60)])
+    def test_interior_biased_problems_converge_fast(self, d, probes, count):
+        bad = []
+        for i in range(count):
+            obs, prior = _interior_biased_problem(d, probes, (d, probes, i))
+            try:
+                sol = solve_biased(obs, prior)
+            except ConvergenceError as exc:
+                bad.append((i, str(exc)))
+                continue
+            if sol.iterations > 20 or sol.residuals.max() > 1e-9:
+                bad.append((i, sol.iterations, sol.residuals.max()))
+        assert not bad
 
 
 class TestSolveBiased:
