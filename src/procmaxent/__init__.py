@@ -44,6 +44,7 @@ from .observations import (
     reduce_ancilla_free,
     sample_shots,
     simulate_means,
+    span_report,
     tp_constraints,
 )
 from .oracles import (
@@ -61,6 +62,7 @@ from .solver import (
     boundary_resolve,
     dual_eval,
     dual_hessian,
+    prune_constraints,
     solve_biased,
     solve_maxent,
     solve_state_maxent,

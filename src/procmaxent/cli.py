@@ -356,16 +356,10 @@ def cmd_check(args):
     status = EXIT_OK
     if prior is not None:
         from .linalg import dag
-        from .solver import _prune
+        from .solver import prune_constraints
         V0, _ = prior.support()
-        cons = obs.full_constraints()
         try:
-            _prune(
-                np.array([dag(V0) @ c.operator @ V0 for c in cons]),
-                np.array([c.target for c in cons]),
-                [c.label for c in cons],
-                V0.shape[1],
-            )
+            prune_constraints(dag(V0) @ obs.operators @ V0, obs.targets, obs.labels)
             row("prior-support", True)
         except InfeasibleError as exc:
             row("prior-support", False, str(exc))

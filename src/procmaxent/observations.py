@@ -10,7 +10,7 @@ map that prepares it from Psi+.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,28 +60,49 @@ def tp_constraints(d):
     ]
 
 
-def _independence_report(ops):
-    """Incrementally find operators dependent on their predecessors.
+def span_report(ops, targets, tol=INDEPENDENCE_TOL):
+    """Split operators, in order, into those independent of their
+    predecessors and those in their span, which the identity
+    (normalization Tr = 1) always starts.
 
-    The identity is always part of the span (the normalization Tr = 1).
-    Returns indices of dependent operators.
+    Returns (keep, dependent, implied): implied holds, for each dependent
+    operator, the target that its predecessors' targets imply.  Each
+    operator is projected twice onto the orthonormal basis built so far,
+    classical Gram-Schmidt with one re-orthogonalisation ("twice is
+    enough": Giraud, Langou and Rozloznik, Comput. Math. Appl. 50, 1069
+    (2005)), and is dependent when the residual norm is at most
+    tol * max(1, |X|).
     """
-    if not ops:
-        return []
-    D = ops[0].shape[0]
-    span = [np.eye(D, dtype=complex).reshape(-1) / np.sqrt(D)]
-    dependent = []
-    for j, op in enumerate(ops):
-        v = op.reshape(-1).astype(complex)
-        B = np.array(span).T
-        coef, *_ = np.linalg.lstsq(B, v, rcond=None)
-        resid = v - B @ coef
+    ops = np.ascontiguousarray(ops, dtype=complex)
+    keep, dependent, implied = [], [], []
+    if len(ops) == 0:
+        return keep, dependent, implied
+    n, dim = len(ops), ops.shape[1]
+    # For Hermitian A, B the Hilbert-Schmidt product Tr(AB) is real and
+    # equals the dot product of the float views of vec(A) and vec(B).
+    vecs = ops.reshape(n, -1).view(float)
+    basis = np.empty((n + 1, vecs.shape[1]))
+    basis[0] = np.eye(dim, dtype=complex).reshape(-1).view(float) / np.sqrt(dim)
+    carried = np.empty(n + 1)  # the target each basis vector implies
+    carried[0] = 1.0 / np.sqrt(dim)
+    r = 1
+    for j, v in enumerate(vecs):
+        B = basis[:r]
+        coef = B @ v
+        resid = v - coef @ B
+        again = B @ resid
+        resid -= again @ B
+        coef += again
         rnorm = np.linalg.norm(resid)
-        if rnorm <= INDEPENDENCE_TOL * max(1.0, np.linalg.norm(v)):
+        if rnorm <= tol * max(1.0, np.linalg.norm(v)):
             dependent.append(j)
-        else:
-            span.append(resid / rnorm)
-    return dependent
+            implied.append(float(coef @ carried[:r]))
+            continue
+        keep.append(j)
+        basis[r] = resid / rnorm
+        carried[r] = (targets[j] - coef @ carried[:r]) / rnorm
+        r += 1
+    return keep, dependent, implied
 
 
 @dataclass(frozen=True)
@@ -96,6 +117,12 @@ class ObservationLevel:
     d: int
     constraints: tuple
     include_tp: bool = True
+    # built once: full_constraints(), its operators (stacked, read-only),
+    # targets (read-only) and labels
+    _full: tuple = field(init=False, repr=False, compare=False)
+    operators: np.ndarray = field(init=False, repr=False, compare=False)
+    targets: np.ndarray = field(init=False, repr=False, compare=False)
+    labels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         cons = tuple(self.constraints)
@@ -107,8 +134,15 @@ class ObservationLevel:
                     f"expected ({D}, {D})"
                 )
         object.__setattr__(self, "constraints", cons)
-        full = self.full_constraints()
-        dep = _independence_report([c.operator for c in full])
+        full = cons + (tuple(tp_constraints(self.d)) if self.include_tp else ())
+        ops = np.array([c.operator for c in full], dtype=complex).reshape(-1, D, D)
+        targets = np.array([c.target for c in full])
+        ops.setflags(write=False)
+        targets.setflags(write=False)
+        for name, value in (("_full", full), ("operators", ops), ("targets", targets),
+                            ("labels", tuple(c.label for c in full))):
+            object.__setattr__(self, name, value)
+        _, dep, _ = span_report(ops, targets)
         if dep:
             labels = [full[j].label for j in dep]
             raise DependentConstraintsError(
@@ -117,10 +151,7 @@ class ObservationLevel:
 
     def full_constraints(self):
         """User constraints followed by the TP constraints (if enabled)."""
-        cons = list(self.constraints)
-        if self.include_tp:
-            cons.extend(tp_constraints(self.d))
-        return cons
+        return list(self._full)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .errors import (
     InvariantError,
 )
 from .linalg import dag, frobenius
-from .observations import Constraint, ObservationLevel
+from .observations import ObservationLevel, span_report
 
 _MAX_FACE_DEPTH = 4
 
@@ -212,53 +212,39 @@ def _stall_status(lam, pt, opts):
     return "diverged" if np.abs(lam).max() > opts.multiplier_cap else "stalled"
 
 
-def _prune(ops, targets, labels, dim, tol=1e-9, consistency_tol=1e-8):
-    """Split constraints into an independent subset and redundant ones.
+def prune_constraints(ops, targets, labels):
+    """Indices of the constraints independent of their predecessors, the
+    identity (normalization Tr = 1) always in the span.
 
-    The identity (normalization Tr = 1) is always in the span.  A
-    dependent constraint whose implied target disagrees with its stated
-    target makes the problem infeasible.
+    A dependent constraint whose stated target disagrees with the target
+    its predecessors imply makes the problem infeasible.
     """
-    span = [np.eye(dim, dtype=complex).reshape(-1) / np.sqrt(dim)]
-    span_targets = [1.0 / np.sqrt(dim)]  # target of the normalized basis vector
-    keep = []
-    for j, op in enumerate(ops):
-        v = op.reshape(-1).astype(complex)
-        B = np.array(span).T
-        coef, *_ = np.linalg.lstsq(B, v, rcond=None)
-        resid = v - B @ coef
-        rnorm = np.linalg.norm(resid)
-        if rnorm <= tol * max(1.0, np.linalg.norm(v)):
-            implied = float(np.real(coef @ np.array(span_targets)))
-            if abs(implied - targets[j]) > consistency_tol * max(1.0, abs(targets[j])):
-                raise InfeasibleError(
-                    f"constraint {labels[j]!r}: target {targets[j]:.12g} is "
-                    f"inconsistent with the feasible span (implied {implied:.12g})",
-                    label=labels[j],
-                )
-        else:
-            keep.append(j)
-            span.append(resid / rnorm)
-            # target carried by the orthogonalized residual direction
-            span_targets.append((targets[j] - float(np.real(coef @ np.array(span_targets)))) / rnorm)
+    keep, dependent, implied = span_report(ops, targets, tol=1e-9)
+    for j, x in zip(dependent, implied):
+        if abs(x - targets[j]) > 1e-8 * max(1.0, abs(targets[j])):
+            raise InfeasibleError(
+                f"constraint {labels[j]!r}: target {targets[j]:.12g} is "
+                f"inconsistent with the feasible span (implied {x:.12g})",
+                label=labels[j],
+            )
     return keep
 
 
 def _extreme_faces(ops, targets, opts):
-    """Projector bases of eigenspaces pinned by targets at spectral extremes."""
+    """Projector bases of eigenspaces pinned by targets at spectral
+    extremes; one batched eigvalsh finds the pinned operators."""
     faces = []
-    for op, x in zip(ops, targets):
-        w, V = np.linalg.eigh(op)
+    for op, x, w in zip(ops, targets, np.linalg.eigvalsh(ops)):
         scale = max(1.0, abs(w[0]), abs(w[-1]))
-        etol = 1e-8 * scale
-        if x >= w[-1] - opts.boundary_tol * scale:
-            faces.append(V[:, w >= w[-1] - etol])
-        elif x <= w[0] + opts.boundary_tol * scale:
-            faces.append(V[:, w <= w[0] + etol])
+        top = x >= w[-1] - opts.boundary_tol * scale
+        if top or x <= w[0] + opts.boundary_tol * scale:
+            w, V = np.linalg.eigh(op)
+            etol = 1e-8 * scale
+            faces.append(V[:, w >= w[-1] - etol] if top else V[:, w <= w[0] + etol])
     return faces
 
 
-def _intersect_faces(faces, dim):
+def _intersect_faces(faces):
     P = sum(U @ dag(U) for U in faces)
     w, V = np.linalg.eigh(P)
     keep = w > len(faces) - 1e-7
@@ -281,7 +267,7 @@ def _solve_core(ops, targets, labels, base, opts, depth=0):
         raise ConvergenceError("face restriction recursion exceeded depth limit")
     n = len(targets)
     dim = base.shape[0]
-    keep = _prune(ops, targets, labels, dim)
+    keep = prune_constraints(ops, targets, labels)
     kept_ops = np.array([ops[j] for j in keep]) if keep else np.zeros((0, dim, dim))
     kept_targets = np.array([targets[j] for j in keep])
     kept_labels = [labels[j] for j in keep]
@@ -293,7 +279,7 @@ def _solve_core(ops, targets, labels, base, opts, depth=0):
 
     faces = _extreme_faces(kept_ops, kept_targets, opts) if keep else []
     if faces:
-        W = _intersect_faces(faces, dim)
+        W = _intersect_faces(faces)
         if W.shape[1] == 0:
             raise InfeasibleError(
                 "targets at spectral extremes pin the state to an empty face"
@@ -360,10 +346,7 @@ def _solve_core(ops, targets, labels, base, opts, depth=0):
 
 
 def _package(obs, core, omega, opts, boundary=None):
-    cons = obs.full_constraints()
-    ops = np.array([c.operator for c in cons])
-    targets = np.array([c.target for c in cons])
-    residuals = np.abs(np.einsum("jkl,lk->j", ops, omega).real - targets)
+    residuals = np.abs(np.einsum("jkl,lk->j", obs.operators, omega).real - obs.targets)
     choi = ChoiState(obs.d, 0.5 * (omega + dag(omega)))
     w = np.linalg.eigvalsh(choi.matrix)
     p = w[w > 1e-15]
@@ -377,7 +360,7 @@ def _package(obs, core, omega, opts, boundary=None):
     return MaxEntSolution(
         choi=choi,
         multipliers=core.lam,
-        labels=tuple(c.label for c in cons),
+        labels=obs.labels,
         log_partition=core.log_partition,
         entropy_bits=entropy_bits,
         residuals=residuals,
@@ -394,12 +377,9 @@ def solve_maxent(obs: ObservationLevel, opts: SolverOptions | None = None):
     constraints; among all such states it has maximal entropy.
     """
     opts = opts or SolverOptions()
-    cons = obs.full_constraints()
     D = obs.d ** 2
-    ops = np.array([c.operator for c in cons])
-    targets = np.array([c.target for c in cons])
-    labels = [c.label for c in cons]
-    core = _solve_core(ops, targets, labels, np.zeros((D, D), dtype=complex), opts)
+    core = _solve_core(obs.operators, obs.targets, obs.labels,
+                       np.zeros((D, D), dtype=complex), opts)
     return _package(obs, core, core.sigma, opts)
 
 
@@ -418,11 +398,7 @@ def solve_biased(obs: ObservationLevel, prior: PriorChannel,
         raise InvariantError("prior channel dimension does not match observation")
     V0, p0 = prior.support()
     base = np.diag(np.log(p0)).astype(complex)
-    cons = obs.full_constraints()
-    ops = np.array([dag(V0) @ c.operator @ V0 for c in cons])
-    targets = np.array([c.target for c in cons])
-    labels = [c.label for c in cons]
-    core = _solve_core(ops, targets, labels, base, opts)
+    core = _solve_core(dag(V0) @ obs.operators @ V0, obs.targets, obs.labels, base, opts)
     omega = V0 @ core.sigma @ dag(V0)
     return _package(obs, core, omega, opts)
 
@@ -448,11 +424,7 @@ def boundary_resolve(obs: ObservationLevel, opts: SolverOptions | None = None,
             "no boundary face: the maximum-entropy solution has full rank"
         )
     W = V[:, keep]
-    cons = obs.full_constraints()
-    ops = np.array([dag(W) @ c.operator @ W for c in cons])
-    targets = np.array([c.target for c in cons])
-    labels = [c.label for c in cons]
-    core = _solve_core(ops, targets, labels,
+    core = _solve_core(dag(W) @ obs.operators @ W, obs.targets, obs.labels,
                        np.zeros((W.shape[1],) * 2, dtype=complex), opts)
     omega = W @ core.sigma @ dag(W)
     return _package(obs, core, omega, opts, boundary=True)

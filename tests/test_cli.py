@@ -7,7 +7,16 @@ import sys
 import numpy as np
 import pytest
 
-from procmaxent import ChoiState, maximally_entangled_state
+from procmaxent import (
+    ChoiState,
+    PriorChannel,
+    ProcessMeasurementSpec,
+    maximally_entangled_state,
+    random_channel,
+    simulate_means,
+    solve_biased,
+    solve_maxent,
+)
 from procmaxent.cli import (
     EXIT_DEPENDENT,
     EXIT_INFEASIBLE,
@@ -19,7 +28,7 @@ from procmaxent.cli import (
     main,
     result_document,
 )
-from procmaxent.linalg import frobenius
+from procmaxent.linalg import PAULI_X, PAULI_Y, PAULI_Z, bloch_to_density, frobenius
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = str(ROOT / "demos" / "fixtures")
@@ -203,3 +212,35 @@ class TestResultDocument:
                             "log_partition", "multipliers", "residuals",
                             "kraus", "diagnostics", "bloch_map"}
         assert doc["diagnostics"]["boundary_flag"] is False
+
+
+class TestNoLeastSquares:
+    def test_span_needs_no_lstsq(self, monkeypatch, tmp_path, capsys):
+        # the constraint span is orthogonalized directly, in the level
+        # check, in the solvers and in `check` on a problem with a prior
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        rng = np.random.default_rng(7)
+        specs = [
+            ProcessMeasurementSpec("ancilla_free", state=bloch_to_density(b), observable=F)
+            for b in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+            for F in (PAULI_X, PAULI_Y, PAULI_Z)
+        ]
+        obs = simulate_means(random_channel(2, 4, rng), specs)
+        assert solve_maxent(obs).residuals.max() < 1e-8
+        prior = PriorChannel(random_channel(2, 4, rng))
+        assert solve_biased(obs, prior).residuals.max() < 1e-8
+
+        doc = json.loads(open(f"{FIXTURES}/v_zero_to_zero.json").read())
+        doc["prior"] = json.loads(open(f"{FIXTURES}/channel_mix_x.json").read())
+        problem = write_json(tmp_path, "with_prior.json", doc)
+        assert main(["check", problem]) == EXIT_OK
+        assert "ok   prior-support" in capsys.readouterr().out
+        code = main(["check", f"{FIXTURES}/v_zero_to_one_identity_prior.json"])
+        assert code == EXIT_INFEASIBLE
+        assert "FAIL prior-support" in capsys.readouterr().out
+        out = str(tmp_path / "out.json")
+        assert main(["estimate", f"{FIXTURES}/v_zero_to_zero.json",
+                     "--biased", f"{FIXTURES}/channel_mix_x.json", "-o", out]) == EXIT_OK

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from procmaxent import (
     Constraint,
@@ -16,6 +17,7 @@ from procmaxent import (
     reduce_ancilla_free,
     sample_shots,
     simulate_means,
+    span_report,
     tp_constraints,
 )
 from procmaxent.channels import ChoiState
@@ -100,6 +102,36 @@ class TestObservationLevel:
     def test_include_tp_off(self):
         obs = ObservationLevel(d=2, constraints=(), include_tp=False)
         assert obs.full_constraints() == []
+
+
+class TestSpanReport:
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
+           planted=st.lists(st.booleans(), min_size=1, max_size=10))
+    def test_flags_planted_combinations(self, d, seed, planted):
+        # operator j is, where planted[j], a random real combination of
+        # the identity and operators 0..j-1; every other one is random
+        rng = np.random.default_rng(seed)
+        D = d * d
+        omega = random_hermitian(D, rng)
+        omega += (1.0 - np.trace(omega).real) / D * np.eye(D)  # Tr omega = 1
+        ops = []
+        for j, is_planted in enumerate(planted):
+            if is_planted:
+                coef = rng.uniform(-2.0, 2.0, j + 1)
+                ops.append(coef[0] * np.eye(D) + sum(c * X for c, X in zip(coef[1:], ops)))
+            else:
+                ops.append(random_hermitian(D, rng))
+        targets = [np.trace(omega @ X).real for X in ops]
+        keep, dependent, implied = span_report(ops, targets)
+        assert dependent == [j for j, p in enumerate(planted) if p]
+        assert keep == [j for j, p in enumerate(planted) if not p]
+        for j, x in zip(dependent, implied):
+            assert abs(x - targets[j]) <= 1e-9 * max(1.0, abs(targets[j]))
+        vecs = np.array([np.eye(D).reshape(-1)] + [X.reshape(-1) for X in ops])
+        for k in range(1, len(ops) + 1):
+            kept = sum(j < k for j in keep)
+            assert kept == np.linalg.matrix_rank(vecs[:k + 1]) - 1
 
 
 class TestReduceAncillaFree:
