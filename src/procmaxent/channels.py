@@ -22,6 +22,7 @@ from .linalg import (
     check_hermitian,
     dag,
     frobenius,
+    kron,
     partial_trace,
 )
 
@@ -103,7 +104,7 @@ def choi_from_apply(apply_map, d):
 
 def _apply_linear(omega, d, A):
     """E[A] = d Tr_anc[(A^T (x) I) omega] without density validation."""
-    lifted = np.kron(np.asarray(A, dtype=complex).T, np.eye(d))
+    lifted = kron(np.asarray(A, dtype=complex).T, np.eye(d))
     return d * partial_trace(lifted @ omega, (d, d), "first")
 
 

@@ -39,7 +39,7 @@ from .errors import (
     NotAChannelError,
     ProcMaxEntError,
 )
-from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, bloch_to_density
+from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, bloch_to_density, kron
 from .observations import ObservationLevel, ProcessMeasurementSpec, simulate_means
 from .solver import PriorChannel, SolverOptions, solve_biased, solve_maxent
 
@@ -81,7 +81,7 @@ def _pauli_string(s, nfactors):
         raise ParseError(f"bad Pauli string {s!r} (expected {nfactors} of I/X/Y/Z)")
     op = _PAULI_LETTERS[s[0]]
     for c in s[1:]:
-        op = np.kron(op, _PAULI_LETTERS[c])
+        op = kron(op, _PAULI_LETTERS[c])
     return op
 
 

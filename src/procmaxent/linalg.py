@@ -32,7 +32,16 @@ def dag(A):
 
 
 def frobenius(A):
-    return float(np.linalg.norm(np.asarray(A), "fro"))
+    """Frobenius (Hilbert-Schmidt) norm."""
+    A = np.asarray(A)
+    return float(np.sqrt(np.vdot(A, A).real))
+
+
+def kron(A, B):
+    """Kronecker product of two 2-d arrays, by one broadcast product."""
+    A, B = np.asarray(A), np.asarray(B)
+    (m, n), (p, q) = A.shape, B.shape
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(m * p, n * q)
 
 
 def check_hermitian(A, tol=HERMITICITY_TOL, name="operator"):

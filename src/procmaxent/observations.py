@@ -10,6 +10,7 @@ map that prepares it from Psi+.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,7 @@ from .linalg import (
     dag,
     expectation,
     hermitian_basis,
+    kron,
 )
 
 INDEPENDENCE_TOL = 1e-10
@@ -47,17 +49,43 @@ class Constraint:
         object.__setattr__(self, "target", float(self.target))
 
 
+@functools.lru_cache(maxsize=None)
+def _tp_block(d):
+    """The TP constraints of dimension d, built and validated once, with
+    their operators stacked; every array is read-only."""
+    eye = np.eye(d)
+    cons = tuple(
+        Constraint(kron(L, eye), 0.0, label=f"tp:{k}")
+        for k, L in enumerate(hermitian_basis(d))
+    )
+    ops = np.array([c.operator for c in cons])
+    for a in (ops, *(c.operator for c in cons)):
+        a.setflags(write=False)
+    return cons, ops
+
+
 def tp_constraints(d):
     """The d**2-1 trace-preservation constraints <Lambda_k (x) I> = 0.
 
     Together with Tr omega = 1 these are equivalent to the marginal
-    condition Tr_2 omega = I/d.
+    condition Tr_2 omega = I/d.  The constraints (read-only operators)
+    are shared by every caller; the list is fresh.
     """
-    eye = np.eye(d)
-    return [
-        Constraint(np.kron(L, eye), 0.0, label=f"tp:{k}")
-        for k, L in enumerate(hermitian_basis(d))
-    ]
+    return list(_tp_block(d)[0])
+
+
+@functools.lru_cache(maxsize=None)
+def _coordinate_index(dim):
+    """Flat indices of the diagonal and of the upper triangle of a
+    dim x dim matrix.  For Hermitian X the diagonal, then sqrt(2) times
+    the real and the imaginary parts of the upper triangle, are real
+    coordinates in which the dot product is the Hilbert-Schmidt product
+    Tr(XY)."""
+    j, k = np.triu_indices(dim, 1)
+    index = (np.arange(dim) * (dim + 1), j * dim + k)
+    for a in index:
+        a.setflags(write=False)
+    return index
 
 
 def span_report(ops, targets, tol=INDEPENDENCE_TOL):
@@ -66,42 +94,63 @@ def span_report(ops, targets, tol=INDEPENDENCE_TOL):
     (normalization Tr = 1) always starts.
 
     Returns (keep, dependent, implied): implied holds, for each dependent
-    operator, the target that its predecessors' targets imply.  Each
-    operator is projected twice onto the orthonormal basis built so far,
-    classical Gram-Schmidt with one re-orthogonalisation ("twice is
-    enough": Giraud, Langou and Rozloznik, Comput. Math. Appl. 50, 1069
-    (2005)), and is dependent when the residual norm is at most
-    tol * max(1, |X|).
+    operator, the target that its predecessors' targets imply.  The
+    operators must be Hermitian.
+
+    One Householder QR factorization A = QR of the columns [I/sqrt(D),
+    X_1, ..., X_n], in real coordinates where the dot product is the
+    Hilbert-Schmidt product, gives |R_jj|, the distance of column j from
+    the span of the columns before it (Golub and Van Loan, Matrix
+    Computations, sec. 5.2); X_j is dependent when that distance is at
+    most tol * max(1, |X_j|).  Columns past the row count of R (more
+    operators than D**2) have distance 0.  At the first dependent column
+    p, R[:p, :p]^T c = (1/sqrt(D), targets kept so far) gives the implied
+    target R[:p, p] . c.  The columns after p whose distance from the
+    span of the columns before p, the norm of R[p:, j], is within
+    tolerance are dependent as well, up to the first that is not; the
+    factorization is then repeated on the kept columns followed by the
+    rest, so that no dependent column enters the basis.  With no
+    dependent column the report costs one factorization.
     """
     ops = np.ascontiguousarray(ops, dtype=complex)
     keep, dependent, implied = [], [], []
     if len(ops) == 0:
         return keep, dependent, implied
     n, dim = len(ops), ops.shape[1]
-    # For Hermitian A, B the Hilbert-Schmidt product Tr(AB) is real and
-    # equals the dot product of the float views of vec(A) and vec(B).
-    vecs = ops.reshape(n, -1).view(float)
-    basis = np.empty((n + 1, vecs.shape[1]))
-    basis[0] = np.eye(dim, dtype=complex).reshape(-1).view(float) / np.sqrt(dim)
-    carried = np.empty(n + 1)  # the target each basis vector implies
-    carried[0] = 1.0 / np.sqrt(dim)
-    r = 1
-    for j, v in enumerate(vecs):
-        B = basis[:r]
-        coef = B @ v
-        resid = v - coef @ B
-        again = B @ resid
-        resid -= again @ B
-        coef += again
-        rnorm = np.linalg.norm(resid)
-        if rnorm <= tol * max(1.0, np.linalg.norm(v)):
-            dependent.append(j)
-            implied.append(float(coef @ carried[:r]))
-            continue
-        keep.append(j)
-        basis[r] = resid / rnorm
-        carried[r] = (targets[j] - coef @ carried[:r]) / rnorm
-        r += 1
+    targets = np.asarray(targets, dtype=float)
+    diag, upper = _coordinate_index(dim)
+    flat = ops.reshape(n, -1)
+    cols = np.zeros((n + 1, dim * dim))
+    cols[0, :dim] = 1.0 / np.sqrt(dim)
+    cols[1:, :dim] = flat[:, diag].real
+    off = np.sqrt(2.0) * flat[:, upper]
+    cols[1:, dim:dim + len(upper)] = off.real
+    cols[1:, dim + len(upper):] = off.imag
+    thresh = tol * np.maximum(1.0, np.linalg.norm(cols[1:], axis=1))
+    rest = np.arange(n)
+    while len(rest):
+        order = np.concatenate(([0], np.asarray(keep, dtype=int) + 1, rest + 1))
+        R = np.linalg.qr(cols[order].T, mode="r")
+        dist = np.zeros(len(order))
+        dist[:len(R)] = np.abs(np.diagonal(R))
+        r = 1 + len(keep)
+        hits = np.flatnonzero(dist[r:] <= thresh[rest])
+        if not len(hits):
+            keep.extend(rest.tolist())
+            break
+        # rest[h] is the first dependent column; so is each of the k - 1
+        # after it within tolerance of the span of the columns before it,
+        # which for them is the span of their kept predecessors.
+        h = hits[0]
+        keep.extend(rest[:h].tolist())
+        p = r + h
+        within = np.linalg.norm(R[p:, p:], axis=0) <= thresh[rest[h:]]
+        k = len(within) if within.all() else int(np.argmin(within))
+        carried = np.concatenate(([1.0 / np.sqrt(dim)], targets[keep]))
+        c = np.linalg.solve(R[:p, :p].T, carried)
+        dependent.extend(rest[h:h + k].tolist())
+        implied.extend((c @ R[:p, p:p + k]).tolist())
+        rest = rest[h + k:]
     return keep, dependent, implied
 
 
@@ -134,8 +183,12 @@ class ObservationLevel:
                     f"expected ({D}, {D})"
                 )
         object.__setattr__(self, "constraints", cons)
-        full = cons + (tuple(tp_constraints(self.d)) if self.include_tp else ())
-        ops = np.array([c.operator for c in full], dtype=complex).reshape(-1, D, D)
+        ops = np.array([c.operator for c in cons], dtype=complex).reshape(-1, D, D)
+        full = cons
+        if self.include_tp:
+            tp_cons, tp_ops = _tp_block(self.d)
+            full += tp_cons
+            ops = np.concatenate((ops, tp_ops))
         targets = np.array([c.target for c in full])
         ops.setflags(write=False)
         targets.setflags(write=False)
@@ -191,7 +244,7 @@ def reduce_ancilla_free(rho, F):
             f"test state {rho.shape} and observable {F.shape} differ in dimension"
         )
     d = rho.shape[0]
-    return d * np.kron(rho.T, F)
+    return d * kron(rho.T, F)
 
 
 def reduce_ancilla_assisted(Omega, F, d, support_tol=1e-12):
@@ -218,7 +271,7 @@ def reduce_ancilla_assisted(Omega, F, d, support_tol=1e-12):
         if w[k] <= support_tol:
             continue
         A = np.sqrt(d * w[k]) * V[:, k].reshape(D, d)  # A_Phi: C^d -> C^D
-        lift = np.kron(A, eye)
+        lift = kron(A, eye)
         X += dag(lift) @ F @ lift
     return 0.5 * (X + dag(X))
 

@@ -147,8 +147,9 @@ def dual_hessian(point, ops):
     Y = dag(V) @ np.asarray(ops) @ V
     diag = np.arange(len(w))
     Y[:, diag, diag] -= (Y[:, diag, diag].real @ p)[:, None]
-    G = (np.sqrt(K) * Y).reshape(len(Y), K.size)
-    H = (G @ dag(G)).real
+    # Re(G G^dag) is the real product of the float views of G's rows.
+    G = (np.sqrt(K) * Y).reshape(len(Y), K.size).view(float)
+    H = G @ G.T
     return 0.5 * (H + H.T)
 
 
@@ -352,10 +353,10 @@ def _package(obs, core, omega, opts, boundary=None):
     p = w[w > 1e-15]
     entropy_bits = float(-np.sum(p * np.log2(p)))
     flag = core.boundary if boundary is None else boundary
-    if not flag and residuals.max() > 10.0 * opts.grad_tol:
+    worst = residuals.max(initial=0.0)
+    if not flag and worst > 10.0 * opts.grad_tol:
         raise ConvergenceError(
-            f"converged solution violates constraints (max residual "
-            f"{residuals.max():.3e})"
+            f"converged solution violates constraints (max residual {worst:.3e})"
         )
     return MaxEntSolution(
         choi=choi,

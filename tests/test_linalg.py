@@ -11,7 +11,7 @@ from procmaxent import (
     partial_trace,
     von_neumann_entropy,
 )
-from procmaxent.linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dag
+from procmaxent.linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dag, frobenius, kron
 
 from conftest import random_hermitian, random_state, random_unitary
 
@@ -156,3 +156,20 @@ class TestExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             expectation(np.eye(2) / 2, np.eye(3))
+
+
+class TestKron:
+    @pytest.mark.parametrize("a, b", [((2, 2), (3, 3)), ((2, 3), (4, 1)),
+                                      ((1, 5), (3, 2)), ((4, 2), (2, 4))])
+    def test_matches_numpy(self, rng, a, b):
+        A = rng.standard_normal(a) + 1j * rng.standard_normal(a)
+        B = rng.standard_normal(b) + 1j * rng.standard_normal(b)
+        assert np.array_equal(kron(A, B), np.kron(A, B))
+        assert np.array_equal(kron(A.real, B), np.kron(A.real, B))
+
+
+class TestFrobenius:
+    def test_matches_numpy(self, rng):
+        A = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        assert frobenius(A) == pytest.approx(np.linalg.norm(A, "fro"), rel=1e-14)
+        assert frobenius(A.T) == pytest.approx(np.linalg.norm(A, "fro"), rel=1e-14)

@@ -21,7 +21,7 @@ from procmaxent import (
     tp_constraints,
 )
 from procmaxent.channels import ChoiState
-from procmaxent.linalg import ID2, PAULI_X, PAULI_Z, dag, partial_trace
+from procmaxent.linalg import ID2, PAULI_X, PAULI_Z, dag, hermitian_basis, partial_trace
 
 from conftest import random_hermitian, random_state
 
@@ -62,6 +62,33 @@ class TestTpConstraints:
         marg_dev = np.linalg.norm(marg - np.eye(2) / 2)
         if marg_dev > 1e-8:
             assert max(devs) > 1e-9
+
+
+class TestTpBlock:
+    """The TP constraints are built once per dimension and shared."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_operators(self, d):
+        cons = tp_constraints(d)
+        assert isinstance(cons, list)
+        for c, L in zip(cons, hermitian_basis(d), strict=True):
+            assert np.array_equal(c.operator, np.kron(L, np.eye(d)))
+
+    def test_read_only(self):
+        op = tp_constraints(2)[0].operator
+        assert not op.flags.writeable
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+        assert not ObservationLevel(d=2, constraints=()).operators.flags.writeable
+
+    def test_shared_between_levels(self):
+        c = Constraint(np.kron(ID2, PAULI_Z), 0.5, label="m")
+        a = ObservationLevel(d=2, constraints=(c,)).full_constraints()[1:]
+        b = ObservationLevel(d=2, constraints=()).full_constraints()
+        assert all(x is y for x, y in zip(a, b, strict=True))
+        fresh = tp_constraints(2)
+        assert fresh is not tp_constraints(2)
+        assert all(x is y for x, y in zip(fresh, b, strict=True))
 
 
 class TestObservationLevel:
@@ -132,6 +159,36 @@ class TestSpanReport:
         for k in range(1, len(ops) + 1):
             kept = sum(j < k for j in keep)
             assert kept == np.linalg.matrix_rank(vecs[:k + 1]) - 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(D=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1),
+           data=st.data())
+    def test_more_operators_than_dimensions(self, D, seed, data):
+        # face-sized frames: more operators than D**2, so the span fills
+        # and every later operator is dependent
+        n = data.draw(st.integers(D * D + 1, 3 * D * D + 2), label="n")
+        planted = data.draw(st.lists(st.booleans(), min_size=n, max_size=n),
+                            label="planted")
+        rng = np.random.default_rng(seed)
+        omega = random_hermitian(D, rng)
+        omega += (1.0 - np.trace(omega).real) / D * np.eye(D)  # Tr omega = 1
+        ops = []
+        for j, is_planted in enumerate(planted):
+            if is_planted:
+                coef = rng.uniform(-2.0, 2.0, j + 1)
+                ops.append(coef[0] * np.eye(D) + sum(c * X for c, X in zip(coef[1:], ops)))
+            else:
+                ops.append(random_hermitian(D, rng))
+        targets = [np.trace(omega @ X).real for X in ops]
+        keep, dependent, implied = span_report(ops, targets)
+        vecs = np.array([np.eye(D).reshape(-1)] + [X.reshape(-1) for X in ops])
+        ranks = [np.linalg.matrix_rank(vecs[:k + 1]) for k in range(len(ops) + 1)]
+        grows = [j for j in range(len(ops)) if ranks[j + 1] > ranks[j]]
+        assert keep == grows
+        assert dependent == [j for j in range(len(ops)) if j not in grows]
+        assert len(keep) <= D * D - 1
+        for j, x in zip(dependent, implied, strict=True):
+            assert abs(x - targets[j]) <= 1e-9 * max(1.0, abs(targets[j]))
 
 
 class TestReduceAncillaFree:

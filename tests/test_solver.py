@@ -129,6 +129,13 @@ class TestSolveMaxent:
         assert sol.entropy_bits == pytest.approx(2.0, abs=1e-10)
         assert not sol.boundary_flag
 
+    def test_no_constraints_at_all(self):
+        # no user constraints and no TP constraints: only Tr omega = 1
+        sol = solve_maxent(ObservationLevel(d=2, constraints=(), include_tp=False))
+        assert np.allclose(sol.choi.matrix, np.eye(4) / 4, atol=1e-12)
+        assert sol.residuals.shape == (0,) and sol.labels == ()
+        assert sol.iterations == 0 and not sol.boundary_flag
+
     def test_single_output_mean(self):
         # maximally mixed test state, <sigma_z> = m: constant channel onto
         # (I + m sigma_z)/2
