@@ -39,9 +39,21 @@ from .errors import (
     NotAChannelError,
     ProcMaxEntError,
 )
-from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, bloch_to_density, kron
-from .observations import ObservationLevel, ProcessMeasurementSpec, simulate_means
-from .solver import PriorChannel, SolverOptions, solve_biased, solve_maxent
+from .linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, bloch_to_density, dag, kron
+from .observations import (
+    Constraint,
+    ObservationLevel,
+    ProcessMeasurementSpec,
+    sample_shots,
+    simulate_means,
+)
+from .solver import (
+    PriorChannel,
+    SolverOptions,
+    prune_constraints,
+    solve_biased,
+    solve_maxent,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -163,7 +175,6 @@ def load_problem(path):
         _parse_spec(entry, d, i, require_mean=True)
         for i, entry in enumerate(doc.get("constraints", []))
     ]
-    from .observations import Constraint
     cons = tuple(
         Constraint(spec.reduce(d), spec.mean, label=spec.label) for spec in specs
     )
@@ -293,7 +304,6 @@ def cmd_simulate(args):
             f"design dimension {d} does not match channel dimension {choi.d}"
         )
     obs = simulate_means(choi, specs)
-    from .observations import sample_shots
     out_cons = []
     for spec, con in zip(specs, obs.constraints):
         mean = con.target
@@ -355,8 +365,6 @@ def cmd_check(args):
     row("spectral-range", True)
     status = EXIT_OK
     if prior is not None:
-        from .linalg import dag
-        from .solver import prune_constraints
         V0, _ = prior.support()
         try:
             prune_constraints(dag(V0) @ obs.operators @ V0, obs.targets, obs.labels)

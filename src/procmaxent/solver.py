@@ -19,12 +19,16 @@ level when it still lowers the gradient's max-norm: near the optimum
 the dual is flat to machine precision and Armijo alone cannot tell a
 good step from a bad one.
 
-Targets sitting on the boundary of the jointly feasible set make the
-dual infimum unattained: the multipliers diverge along a recession
-direction u, and omega concentrates on the minimal eigenspace of
-sum_j u_j X_j.  The solver detects this, restricts the problem to that
-face and re-solves; strictly infeasible targets are recognized by the
-recession value u . x - lambda_min(sum u_j X_j) being negative.
+Targets on the boundary of the jointly feasible set make the dual
+infimum unattained: every feasible state lives on a face of the state
+space, and the multipliers diverge.  The solver reduces the problem to
+that face before it finishes (facial reduction; Borwein and Wolkowicz,
+J. Austral. Math. Soc. 30 (1981)).  A target at an end of its
+operator's spectrum pins the state to that eigenspace; otherwise a
+Newton run that does not converge leaves an iterate whose weight sits on
+the face.  Each restriction is followed by pruning on the face, where
+jointly infeasible targets show up as inconsistent dependent targets or
+as a target outside its restricted operator's spectrum.
 """
 
 from __future__ import annotations
@@ -41,10 +45,15 @@ from .errors import (
     InfeasibleError,
     InvariantError,
 )
-from .linalg import dag, frobenius
+from .linalg import SUPPORT_TOL, dag
 from .observations import ObservationLevel, span_report
 
-_MAX_FACE_DEPTH = 4
+# Armijo sufficient-decrease constant, backtracking factor and limit.
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
+_MAX_BACKTRACKS = 60
+# Gibbs weight below which an eigenvector of the state is off its face.
+_FACE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -52,9 +61,6 @@ class SolverOptions:
     grad_tol: float = 1e-10          # infinity norm of the dual gradient
     max_iter: int = 500
     multiplier_cap: float = 50.0     # flags boundary / divergent solutions
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 60
     boundary_tol: float = 1e-9       # preemptive target-at-spectral-extreme check
 
     def __post_init__(self):
@@ -64,13 +70,20 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class MaxEntSolution:
+    """An estimate with its multipliers and residuals.
+
+    boundary_flag is set when the estimate lies on a proper face of the
+    state space: the solve narrowed its frame to a face, or the estimate
+    has an eigenvalue below 1e-7 relative to unit trace.
+    """
+
     choi: ChoiState
     multipliers: np.ndarray       # one per constraint, TP constraints included
     labels: tuple
     log_partition: float          # natural-log partition function of the solved frame
     entropy_bits: float
     residuals: np.ndarray         # |Tr(omega X_j) - x_j| per constraint
-    iterations: int
+    iterations: int               # Newton iterations over all face passes
     boundary_flag: bool
 
 
@@ -80,11 +93,10 @@ class PriorChannel:
     support have infinite relative entropy and are excluded."""
 
     choi: ChoiState
-    support_tol: float = 1e-12
 
     def support(self):
         w, V = np.linalg.eigh(self.choi.matrix)
-        keep = w > self.support_tol * w[-1]
+        keep = w > SUPPORT_TOL * w[-1]
         return V[:, keep], w[keep]
 
 
@@ -126,6 +138,12 @@ def dual_eval(lam, constraints, base=None):
     return _dual_pieces(lam, ops, targets, base=base)
 
 
+def _gibbs_weights(point):
+    """Eigenvalues of the state at a DualPoint, aligned with point.V."""
+    p = np.exp(point.w - point.w[-1])
+    return p / p.sum()
+
+
 def dual_hessian(point, ops):
     """Exact Hessian of the dual at a DualPoint: the Kubo-Mori covariance
     of the operators ops (stacked, in the frame of the point).
@@ -137,8 +155,7 @@ def dual_hessian(point, ops):
     the divided difference to cancellation.
     """
     w, V = point.w, point.V
-    p = np.exp(w - w[-1])
-    p /= p.sum()
+    p = _gibbs_weights(point)
     dw = np.abs(w[:, None] - w[None, :])
     nonzero = dw > 0.0
     ratio = np.ones_like(dw)
@@ -188,14 +205,14 @@ def _newton(ops, targets, base, opts):
         roundoff = 1e-12 * max(1.0, abs(pt.value))
         t = 1.0
         accepted = None
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             cand = _dual_pieces(lam + t * step, ops, targets, base)
-            if (cand.value <= pt.value + opts.armijo_c * t * slope
+            if (cand.value <= pt.value + _ARMIJO_C * t * slope
                     or (abs(cand.value - pt.value) <= roundoff
                         and np.abs(cand.gradient).max() < gnorm)):
                 accepted = cand
                 break
-            t *= opts.backtrack
+            t *= _BACKTRACK
         if accepted is None:
             return _NewtonResult(_stall_status(lam, pt, opts), lam, pt, iters)
         lam = lam + t * step
@@ -231,130 +248,92 @@ def prune_constraints(ops, targets, labels):
     return keep
 
 
-def _extreme_faces(ops, targets, opts):
-    """Projector bases of eigenspaces pinned by targets at spectral
-    extremes; one batched eigvalsh finds the pinned operators."""
-    faces = []
-    for op, x, w in zip(ops, targets, np.linalg.eigvalsh(ops)):
-        scale = max(1.0, abs(w[0]), abs(w[-1]))
-        top = x >= w[-1] - opts.boundary_tol * scale
-        if top or x <= w[0] + opts.boundary_tol * scale:
-            w, V = np.linalg.eigh(op)
-            etol = 1e-8 * scale
-            faces.append(V[:, w >= w[-1] - etol] if top else V[:, w <= w[0] + etol])
-    return faces
-
-
-def _intersect_faces(faces):
-    P = sum(U @ dag(U) for U in faces)
-    w, V = np.linalg.eigh(P)
-    keep = w > len(faces) - 1e-7
-    return V[:, keep]
+def _pinned_face(ops, targets, labels, opts):
+    """Eigenspace to which the first constraint with its target at an end
+    of its spectrum pins the state, or None.  One batched eigvalsh finds
+    the pinned constraints; a target outside the spectrum is infeasible."""
+    w = np.linalg.eigvalsh(ops)
+    lo, hi = w[:, 0], w[:, -1]
+    scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    tol = opts.boundary_tol * scale
+    outside = np.flatnonzero((targets > hi + tol) | (targets < lo - tol))
+    if len(outside):
+        j = outside[0]
+        raise InfeasibleError(
+            f"constraint {labels[j]!r}: target {targets[j]:.12g} lies outside "
+            f"the spectrum [{lo[j]:.12g}, {hi[j]:.12g}] of its operator on the face",
+            label=labels[j],
+        )
+    top = targets >= hi - tol
+    for j in np.flatnonzero(top | (targets <= lo + tol)):
+        wj, V = np.linalg.eigh(ops[j])
+        etol = 1e-8 * scale[j]
+        face = V[:, wj >= hi[j] - etol] if top[j] else V[:, wj <= lo[j] + etol]
+        # Pruning removes a constraint equal to x I on the frame; one that
+        # is within etol of it but not pruned pins nothing.
+        if face.shape[1] < len(wj):
+            return face
+    return None
 
 
 class _CoreSolution(NamedTuple):
-    sigma: np.ndarray     # state in the solved frame (dim r)
+    sigma: np.ndarray     # state in the frame of the input operators
     lam: np.ndarray       # multipliers per original constraint (0 where pruned)
     log_partition: float
     iterations: int
     boundary: bool
 
 
-def _solve_core(ops, targets, labels, base, opts, depth=0):
+def _solve_core(ops, targets, labels, base, opts):
     """Solve min_lam ln Tr exp(base - sum lam_j X_j) + lam . x on the
-    current (possibly face-restricted) space; recurses onto boundary
-    faces."""
-    if depth > _MAX_FACE_DEPTH:
-        raise ConvergenceError("face restriction recursion exceeded depth limit")
+    smallest face of the state space that holds every feasible state.
+
+    Each pass restricts the problem to the frame W (orthonormal columns),
+    prunes it, and narrows W to a face: the eigenspace a pinned target
+    selects, or the support of a Newton iterate that did not converge.
+    A constraint pinned on the whole frame equals x I there, which
+    pruning removes, so each face is proper: every pass removes at least
+    one dimension and the loop ends within dim passes.
+    """
     n = len(targets)
     dim = base.shape[0]
-    keep = prune_constraints(ops, targets, labels)
-    kept_ops = np.array([ops[j] for j in keep]) if keep else np.zeros((0, dim, dim))
-    kept_targets = np.array([targets[j] for j in keep])
-    kept_labels = [labels[j] for j in keep]
-
-    def lift_lam(sub_lam):
-        lam = np.zeros(n)
-        lam[keep] = sub_lam
-        return lam
-
-    faces = _extreme_faces(kept_ops, kept_targets, opts) if keep else []
-    if faces:
-        W = _intersect_faces(faces)
-        if W.shape[1] == 0:
-            raise InfeasibleError(
-                "targets at spectral extremes pin the state to an empty face"
-            )
-        sub = _solve_core(
-            np.array([dag(W) @ op @ W for op in kept_ops]),
-            kept_targets,
-            kept_labels,
-            dag(W) @ base @ W,
-            opts,
-            depth + 1,
-        )
-        sigma = W @ sub.sigma @ dag(W)
-        return _CoreSolution(sigma, lift_lam(sub.lam), sub.log_partition,
-                             sub.iterations, True)
-
-    if not keep:
-        pt = _dual_pieces(np.zeros(0), kept_ops, kept_targets, base)
-        return _CoreSolution(pt.omega, np.zeros(n), pt.value, 0, False)
-
-    res = _newton(kept_ops, kept_targets, base, opts)
-    if res.status == "converged":
-        return _CoreSolution(res.point.omega, lift_lam(res.lam),
-                             res.point.value - float(res.lam @ kept_targets),
-                             res.iterations, False)
-    if res.status == "stalled":
-        raise ConvergenceError(
-            f"dual solver stalled after {res.iterations} iterations "
-            f"(gradient norm {np.abs(res.point.gradient).max():.3e})"
-        )
-
-    # Diverged multipliers: classify via the recession direction.
-    u = res.lam / np.linalg.norm(res.lam)
-    A = np.tensordot(u, kept_ops, axes=1)
-    w, V = np.linalg.eigh(0.5 * (A + dag(A)))
-    scale = max(1.0, abs(w[0]), abs(w[-1]))
-    gap_value = float(u @ kept_targets) - w[0]
-    if gap_value < -1e-4 * scale:
-        raise InfeasibleError(
-            f"infeasible target set: recession value {gap_value:.3e} along "
-            f"diverging multipliers (constraints {kept_labels})"
-        )
-    if gap_value > 1e-4 * scale:
-        raise ConvergenceError(
-            f"dual multipliers diverged without a boundary certificate "
-            f"(recession value {gap_value:.3e})"
-        )
-    op_scale = max(1.0, *(frobenius(op) for op in kept_ops))
-    ftol = max(1e-8, 50.0 * op_scale / np.linalg.norm(res.lam))
-    W = V[:, w < w[0] + ftol]
-    if W.shape[1] == dim:
-        raise ConvergenceError("boundary face identification failed (full space)")
-    sub = _solve_core(
-        np.array([dag(W) @ op @ W for op in kept_ops]),
-        kept_targets,
-        kept_labels,
-        dag(W) @ base @ W,
-        opts,
-        depth + 1,
-    )
-    sigma = W @ sub.sigma @ dag(W)
-    return _CoreSolution(sigma, lift_lam(sub.lam), sub.log_partition,
-                         sub.iterations + res.iterations, True)
+    W = np.eye(dim, dtype=complex)
+    f_ops, f_base = ops, base
+    iterations = 0
+    while True:
+        keep = prune_constraints(f_ops, targets, labels)
+        kept_ops, kept_targets = f_ops[keep], targets[keep]
+        face = _pinned_face(kept_ops, kept_targets, [labels[j] for j in keep], opts)
+        if face is None:
+            res = _newton(kept_ops, kept_targets, f_base, opts)
+            iterations += res.iterations
+            weights = _gibbs_weights(res.point)
+            if res.status == "converged":
+                lam = np.zeros(n)
+                lam[keep] = res.lam
+                return _CoreSolution(
+                    W @ res.point.omega @ dag(W), lam,
+                    res.point.value - float(res.lam @ kept_targets), iterations,
+                    bool(W.shape[1] < dim or weights.min() < _FACE_TOL))
+            face = res.point.V[:, weights > _FACE_TOL]
+            if face.shape[1] == len(weights):
+                raise ConvergenceError(
+                    f"dual solver {res.status} after {iterations} iterations "
+                    f"(gradient norm {np.abs(res.point.gradient).max():.3e}) "
+                    f"with no boundary face"
+                )
+        W = W @ face
+        f_ops, f_base = dag(face) @ f_ops @ face, dag(face) @ f_base @ face
 
 
-def _package(obs, core, omega, opts, boundary=None):
+def _package(obs, core, omega, opts):
     residuals = np.abs(np.einsum("jkl,lk->j", obs.operators, omega).real - obs.targets)
     choi = ChoiState(obs.d, 0.5 * (omega + dag(omega)))
     w = np.linalg.eigvalsh(choi.matrix)
     p = w[w > 1e-15]
     entropy_bits = float(-np.sum(p * np.log2(p)))
-    flag = core.boundary if boundary is None else boundary
     worst = residuals.max(initial=0.0)
-    if not flag and worst > 10.0 * opts.grad_tol:
+    if worst > 10.0 * opts.grad_tol:
         raise ConvergenceError(
             f"converged solution violates constraints (max residual {worst:.3e})"
         )
@@ -366,7 +345,7 @@ def _package(obs, core, omega, opts, boundary=None):
         entropy_bits=entropy_bits,
         residuals=residuals,
         iterations=core.iterations,
-        boundary_flag=flag,
+        boundary_flag=core.boundary,
     )
 
 
@@ -404,31 +383,20 @@ def solve_biased(obs: ObservationLevel, prior: PriorChannel,
     return _package(obs, core, omega, opts)
 
 
-def boundary_resolve(obs: ObservationLevel, opts: SolverOptions | None = None,
-                     face_tol: float = 1e-7):
-    """Resolve an observation level whose targets sit on the boundary of
+def boundary_resolve(obs: ObservationLevel, opts: SolverOptions | None = None):
+    """Estimate an observation level whose targets sit on the boundary of
     the feasible set.
 
-    Identifies the face the constraints pin the state to (via the
-    numerically rank-deficient solution of the interior solve, or the
-    solver's own divergence handling), re-solves restricted to that
-    face, and returns the face solution with the boundary flag set.
+    This is solve_maxent, which already restricts the solve to the face
+    the constraints pin the state to; a result that is not flagged as a
+    boundary estimate raises BoundaryCaseError.
     """
-    opts = opts or SolverOptions()
     sol = solve_maxent(obs, opts)
-    if sol.boundary_flag:
-        return sol
-    w, V = np.linalg.eigh(sol.choi.matrix)
-    keep = w > face_tol
-    if keep.all():
+    if not sol.boundary_flag:
         raise BoundaryCaseError(
             "no boundary face: the maximum-entropy solution has full rank"
         )
-    W = V[:, keep]
-    core = _solve_core(dag(W) @ obs.operators @ W, obs.targets, obs.labels,
-                       np.zeros((W.shape[1],) * 2, dtype=complex), opts)
-    omega = W @ core.sigma @ dag(W)
-    return _package(obs, core, omega, opts, boundary=True)
+    return sol
 
 
 def solve_state_maxent(constraints, dim, opts: SolverOptions | None = None):
@@ -438,7 +406,7 @@ def solve_state_maxent(constraints, dim, opts: SolverOptions | None = None):
     space.  Returns (rho, multipliers).
     """
     opts = opts or SolverOptions()
-    ops = np.array([c.operator for c in constraints])
+    ops = np.array([c.operator for c in constraints]).reshape(-1, dim, dim)
     targets = np.array([c.target for c in constraints])
     labels = [c.label for c in constraints]
     core = _solve_core(ops, targets, labels, np.zeros((dim, dim), dtype=complex), opts)

@@ -224,6 +224,46 @@ class TestSolveMaxent:
         expected = 0.5 * np.kron(ID2, np.diag([1.0, 0.0]))
         assert frobenius(sol.choi.matrix - expected) < 1e-8
 
+    def test_intersecting_pinned_faces(self):
+        # each target pins the output to a 2-dimensional eigenspace; only
+        # their intersection, output |0>, meets both
+        I3 = np.eye(3)
+        obs = ObservationLevel(d=3, constraints=(
+            Constraint(np.kron(I3, np.diag([1.0, 1.0, 0.0])), 1.0, label="a"),
+            Constraint(np.kron(I3, np.diag([1.0, 0.0, 1.0])), 1.0, label="b"),
+        ))
+        expected = np.kron(I3 / 3, np.diag([1.0, 0.0, 0.0]))
+        sol = solve_maxent(obs)
+        assert frobenius(sol.choi.matrix - expected) < 1e-9
+        assert sol.boundary_flag and sol.iterations == 0
+        assert frobenius(boundary_resolve(obs).choi.matrix - expected) < 1e-9
+
+    @pytest.mark.parametrize("bloch, means", [
+        ([0.0, 0.0, 1.0], {"x": (PAULI_X, 0.8), "z": (PAULI_Z, 0.8)}),
+        ([0.0, 0.0, 0.0], {"x": (PAULI_X, 0.75), "y": (PAULI_Y, 0.75)}),
+    ])
+    def test_jointly_infeasible_means_of_one_probe(self, bloch, means):
+        # each mean lies inside its operator's spectrum, but together they
+        # ask for an output Bloch vector longer than 1
+        rho = bloch_to_density(bloch)
+        obs = ObservationLevel(d=2, constraints=tuple(
+            Constraint(reduce_ancilla_free(rho, F), x, label=k)
+            for k, (F, x) in means.items()))
+        with pytest.raises(InfeasibleError):
+            solve_maxent(obs)
+
+    def test_pure_output_sets_flag(self):
+        # <X> = 0.6 and <Z> = 0.8 on input |0> force a pure output, which
+        # no single constraint pins: the estimate is singular
+        rho = bloch_to_density([0.0, 0.0, 1.0])
+        obs = ObservationLevel(d=2, constraints=(
+            Constraint(reduce_ancilla_free(rho, PAULI_X), 0.6, label="x"),
+            Constraint(reduce_ancilla_free(rho, PAULI_Z), 0.8, label="z"),
+        ))
+        sol = solve_maxent(obs)
+        assert sol.boundary_flag and sol.residuals.max() <= 1e-9
+        assert np.array_equal(boundary_resolve(obs).choi.matrix, sol.choi.matrix)
+
     def test_iteration_budget(self):
         obs = obs_single(reduce_ancilla_free(0.5 * ID2, PAULI_Z), 0.5)
         with pytest.raises(ConvergenceError):
