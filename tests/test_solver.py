@@ -238,6 +238,15 @@ class TestSolveMaxent:
         assert sol.boundary_flag and sol.iterations == 0
         assert frobenius(boundary_resolve(obs).choi.matrix - expected) < 1e-9
 
+    def test_near_identity_constraint_pins_no_face(self):
+        # within 1e-8 of 1 I but not pruned: its top eigenspace is the
+        # whole frame, which would leave the face loop where it started
+        from procmaxent.solver import _pinned_face
+
+        X = np.eye(4) + np.diag([0.0, 0.0, 0.0, 5e-9])
+        assert _pinned_face(np.array([X]), np.array([1.0 + 5e-9]), ["c"],
+                            SolverOptions()) is None
+
     @pytest.mark.parametrize("bloch, means", [
         ([0.0, 0.0, 1.0], {"x": (PAULI_X, 0.8), "z": (PAULI_Z, 0.8)}),
         ([0.0, 0.0, 0.0], {"x": (PAULI_X, 0.75), "y": (PAULI_Y, 0.75)}),
