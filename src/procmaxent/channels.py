@@ -40,7 +40,6 @@ class ChoiState:
 
     d: int
     matrix: np.ndarray
-    cptp_tol: float = CPTP_TOL
 
     def __post_init__(self):
         m = check_density(self.matrix, name="Choi matrix")
@@ -50,9 +49,9 @@ class ChoiState:
             )
         marg = partial_trace(m, (self.d, self.d), "second")
         dev = frobenius(marg - np.eye(self.d) / self.d)
-        if dev > self.cptp_tol:
+        if dev > CPTP_TOL:
             raise NotAChannelError(
-                f"Tr_2 omega deviates from I/d by {dev:.3e} (tol {self.cptp_tol:.1e})"
+                f"Tr_2 omega deviates from I/d by {dev:.3e} (tol {CPTP_TOL:.1e})"
             )
         object.__setattr__(self, "matrix", m)
 
@@ -127,9 +126,9 @@ def process_entropy(choi):
     return linalg.von_neumann_entropy(choi.matrix)
 
 
-def is_cptp(omega, tol=CPTP_TOL):
+def is_cptp(omega):
     """Check a candidate bipartite matrix for complete positivity and
-    trace preservation; returns a report rather than raising."""
+    trace preservation to CPTP_TOL; returns a report rather than raising."""
     omega = check_hermitian(omega, name="candidate Choi matrix")
     D = omega.shape[0]
     d = int(round(np.sqrt(D)))
@@ -139,24 +138,25 @@ def is_cptp(omega, tol=CPTP_TOL):
     marg = partial_trace(omega, (d, d), "second")
     deficit = frobenius(marg - np.eye(d) / d)
     return CptpReport(
-        positive=wmin >= -tol,
-        trace_preserving=deficit <= tol,
+        positive=wmin >= -CPTP_TOL,
+        trace_preserving=deficit <= CPTP_TOL,
         min_eigenvalue=wmin,
         tp_deficit=deficit,
     )
 
 
-def kraus_from_choi(choi, rank_tol=1e-12):
+def kraus_from_choi(choi):
     """Kraus operators from the spectral decomposition of the Choi state.
 
     With omega = sum_k p_k |phi_k><phi_k| and the (ancilla, output)
-    convention, A_k[i, j] = sqrt(d p_k) <j (x) i|phi_k>.
+    convention, A_k[i, j] = sqrt(d p_k) <j (x) i|phi_k>.  Eigenvalues up
+    to SUPPORT_TOL times the largest give no operator.
     """
     d = choi.d
     w, V = np.linalg.eigh(choi.matrix)
     ops = []
     for k in range(len(w) - 1, -1, -1):
-        if w[k] <= rank_tol * w[-1]:
+        if w[k] <= linalg.SUPPORT_TOL * w[-1]:
             break
         phi = V[:, k].reshape(d, d)  # phi[j, i]: ancilla index j, output i
         ops.append(np.sqrt(d * w[k]) * phi.T)

@@ -190,10 +190,6 @@ def load_problem(path):
 def _options_from_doc(sdoc):
     if not isinstance(sdoc, dict):
         raise ParseError("'solver' must be an object")
-    allowed = {"grad_tol", "max_iter", "multiplier_cap", "boundary_tol"}
-    bad = set(sdoc) - allowed
-    if bad:
-        raise ParseError(f"unknown solver options: {sorted(bad)}")
     try:
         return SolverOptions(**sdoc)
     except (TypeError, ValueError) as exc:
@@ -365,7 +361,7 @@ def cmd_check(args):
     row("spectral-range", True)
     status = EXIT_OK
     if prior is not None:
-        V0, _ = prior.support()
+        V0 = prior.frame
         try:
             prune_constraints(dag(V0) @ obs.operators @ V0, obs.targets, obs.labels)
             row("prior-support", True)

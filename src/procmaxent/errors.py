@@ -42,7 +42,8 @@ class ConvergenceError(ProcMaxEntError, RuntimeError):
 
 
 class BoundaryCaseError(ProcMaxEntError, ValueError):
-    """A closed-form oracle was called outside its interior domain."""
+    """A closed-form oracle was called outside its interior domain, or
+    boundary_resolve found that the estimate has full rank."""
 
 
 class OracleFailureError(ProcMaxEntError, RuntimeError):

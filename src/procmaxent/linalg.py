@@ -12,8 +12,6 @@ import numpy as np
 
 from .errors import DimensionError, InvariantError
 
-LN2 = float(np.log(2.0))
-
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -44,25 +42,25 @@ def kron(A, B):
     return (A[:, None, :, None] * B[None, :, None, :]).reshape(m * p, n * q)
 
 
-def check_hermitian(A, tol=HERMITICITY_TOL, name="operator"):
+def check_hermitian(A, name="operator"):
     """Validate hermiticity and return the array as complex ndarray."""
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"{name} must be a square matrix, got shape {A.shape}")
     dev = frobenius(A - dag(A))
-    if dev > tol * max(1.0, frobenius(A)):
+    if dev > HERMITICITY_TOL * max(1.0, frobenius(A)):
         raise InvariantError(f"{name} is not Hermitian (deviation {dev:.3e})")
     return A
 
 
-def check_density(rho, eig_tol=DENSITY_EIG_TOL, trace_tol=DENSITY_TRACE_TOL, name="state"):
-    """Validate a density matrix: Hermitian, positive to eig_tol, unit trace."""
+def check_density(rho, name="state"):
+    """Validate a density matrix: Hermitian, positive, unit trace."""
     rho = check_hermitian(rho, name=name)
     tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise InvariantError(f"{name} has trace {tr:.12g}, expected 1")
     w = np.linalg.eigvalsh(rho)
-    if w[0] < -eig_tol:
+    if w[0] < -DENSITY_EIG_TOL:
         raise InvariantError(f"{name} has negative eigenvalue {w[0]:.3e}")
     return rho
 
@@ -106,27 +104,27 @@ def matrix_exp(H):
     return 0.5 * (E + dag(E))
 
 
-def matrix_log(rho, support_tol=SUPPORT_TOL):
+def matrix_log(rho):
     """Logarithm of a density matrix on its support.
 
-    Eigenvalues below support_tol (relative to the largest eigenvalue) are
+    Eigenvalues below SUPPORT_TOL (relative to the largest eigenvalue) are
     treated as outside the support and excluded.  Returns (log, projector)
     where projector spans the support.
     """
     rho = check_density(rho)
     w, V = np.linalg.eigh(rho)
-    keep = w > support_tol * w[-1]
+    keep = w > SUPPORT_TOL * w[-1]
     Vk = V[:, keep]
     L = (Vk * np.log(w[keep])) @ dag(Vk)
     P = Vk @ dag(Vk)
     return 0.5 * (L + dag(L)), 0.5 * (P + dag(P))
 
 
-def von_neumann_entropy(rho, support_tol=SUPPORT_TOL):
+def von_neumann_entropy(rho):
     """Von Neumann entropy in bits, with 0 log 0 := 0."""
     rho = check_density(rho)
     w = np.linalg.eigvalsh(rho)
-    p = w[w > support_tol * max(w[-1], 0.0)]
+    p = w[w > SUPPORT_TOL * max(w[-1], 0.0)]
     return float(-np.sum(p * np.log2(p)))
 
 

@@ -166,9 +166,8 @@ class ObservationLevel:
     d: int
     constraints: tuple
     include_tp: bool = True
-    # built once: full_constraints(), its operators (stacked, read-only),
-    # targets (read-only) and labels
-    _full: tuple = field(init=False, repr=False, compare=False)
+    # built once: the operators of full_constraints() (stacked,
+    # read-only), their targets (read-only) and labels
     operators: np.ndarray = field(init=False, repr=False, compare=False)
     targets: np.ndarray = field(init=False, repr=False, compare=False)
     labels: tuple = field(init=False, repr=False, compare=False)
@@ -192,7 +191,7 @@ class ObservationLevel:
         targets = np.array([c.target for c in full])
         ops.setflags(write=False)
         targets.setflags(write=False)
-        for name, value in (("_full", full), ("operators", ops), ("targets", targets),
+        for name, value in (("operators", ops), ("targets", targets),
                             ("labels", tuple(c.label for c in full))):
             object.__setattr__(self, name, value)
         _, dep, _ = span_report(ops, targets)
@@ -204,7 +203,7 @@ class ObservationLevel:
 
     def full_constraints(self):
         """User constraints followed by the TP constraints (if enabled)."""
-        return list(self._full)
+        return [*self.constraints, *(_tp_block(self.d)[0] if self.include_tp else ())]
 
 
 @dataclass(frozen=True)
@@ -247,14 +246,17 @@ def reduce_ancilla_free(rho, F):
     return d * kron(rho.T, F)
 
 
-def reduce_ancilla_assisted(Omega, F, d, support_tol=1e-12):
+def reduce_ancilla_assisted(Omega, F, d):
     """Constraint operator on the Choi state for an ancilla-assisted
     measurement with test state Omega (on D*d) and observable F.
 
-    Spectrally decompose Omega and route each eigenvector through the
-    preparation map A_k that generates it from Psi+; the reduced operator
-    X = sum_k (A_k (x) I)^dag F (A_k (x) I) satisfies
-    Tr[X omega_E] = Tr[F (I (x) E)[Omega]] for every channel E.
+    Any decomposition Omega = sum_k (A_k (x) I) Psi+ (A_k (x) I)^dag, with
+    preparation maps A_k: C^d -> C^D, gives Tr[F (I (x) E)[Omega]] =
+    Tr[X omega_E] for every channel E, where X = sum_k (A_k (x) I)^dag F
+    (A_k (x) I).  The sum depends on Omega alone; with ancilla indices a,
+    b, system indices j, k and output indices x, y it reads
+
+        X[(k y), (j x)] = d sum_ab Omega[(a j), (b k)] F[(b y), (a x)].
     """
     Omega = check_density(Omega, name="test state")
     F = check_hermitian(F, name="observable")
@@ -264,15 +266,8 @@ def reduce_ancilla_assisted(Omega, F, d, support_tol=1e-12):
     if Dd % d != 0:
         raise DimensionError(f"dimension {Dd} does not factor as D*{d}")
     D = Dd // d
-    w, V = np.linalg.eigh(Omega)
-    eye = np.eye(d)
-    X = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(Dd):
-        if w[k] <= support_tol:
-            continue
-        A = np.sqrt(d * w[k]) * V[:, k].reshape(D, d)  # A_Phi: C^d -> C^D
-        lift = kron(A, eye)
-        X += dag(lift) @ F @ lift
+    X = d * np.einsum("ajbk,byax->kyjx", Omega.reshape(D, d, D, d),
+                      F.reshape(D, d, D, d)).reshape(d * d, d * d)
     return 0.5 * (X + dag(X))
 
 

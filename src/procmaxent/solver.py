@@ -33,7 +33,7 @@ as a target outside its restricted operator's spectrum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -54,17 +54,19 @@ _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 60
 # Gibbs weight below which an eigenvector of the state is off its face.
 _FACE_TOL = 1e-7
+# Largest multiplier magnitude before Newton stops as divergent.
+_MULTIPLIER_CAP = 1000.0
+# Relative distance of a target from its operator's spectral end that pins it.
+_BOUNDARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     grad_tol: float = 1e-10          # infinity norm of the dual gradient
     max_iter: int = 500
-    multiplier_cap: float = 50.0     # flags boundary / divergent solutions
-    boundary_tol: float = 1e-9       # preemptive target-at-spectral-extreme check
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.max_iter < 1 or self.multiplier_cap <= 0:
+        if self.grad_tol <= 0 or self.max_iter < 1:
             raise ValueError("invalid solver options")
 
 
@@ -89,15 +91,22 @@ class MaxEntSolution:
 
 @dataclass(frozen=True)
 class PriorChannel:
-    """Prior Choi state with its support projector; states leaving the
-    support have infinite relative entropy and are excluded."""
+    """Prior Choi state with its support; states leaving the support have
+    infinite relative entropy and are excluded.  Built once, read-only:
+    frame, orthonormal columns spanning the support, and base, diag(log p)
+    of the prior's eigenvalues p there."""
 
     choi: ChoiState
+    frame: np.ndarray = field(init=False, repr=False, compare=False)
+    base: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def support(self):
+    def __post_init__(self):
         w, V = np.linalg.eigh(self.choi.matrix)
         keep = w > SUPPORT_TOL * w[-1]
-        return V[:, keep], w[keep]
+        frame, base = V[:, keep], np.diag(np.log(w[keep])).astype(complex)
+        for name, value in (("frame", frame), ("base", base)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 class DualPoint(NamedTuple):
@@ -171,7 +180,7 @@ def dual_hessian(point, ops):
 
 
 class _NewtonResult(NamedTuple):
-    status: str           # "converged" | "diverged" | "stalled"
+    converged: bool
     lam: np.ndarray
     point: DualPoint
     iterations: int
@@ -181,14 +190,13 @@ def _newton(ops, targets, base, opts):
     n = len(targets)
     lam = np.zeros(n)
     pt = _dual_pieces(lam, ops, targets, base)
-    hard_cap = 20.0 * opts.multiplier_cap
     iters = 0
     while iters < opts.max_iter:
         gnorm = np.abs(pt.gradient).max() if n else 0.0
         if gnorm <= opts.grad_tol:
-            return _NewtonResult("converged", lam, pt, iters)
-        if np.abs(lam).max() > hard_cap:
-            return _NewtonResult("diverged", lam, pt, iters)
+            return _NewtonResult(True, lam, pt, iters)
+        if np.abs(lam).max() > _MULTIPLIER_CAP:
+            return _NewtonResult(False, lam, pt, iters)
         iters += 1
         H = dual_hessian(pt, ops)
         reg = 1e-12 * max(1.0, abs(np.trace(H)) / n)
@@ -214,20 +222,13 @@ def _newton(ops, targets, base, opts):
                 break
             t *= _BACKTRACK
         if accepted is None:
-            return _NewtonResult(_stall_status(lam, pt, opts), lam, pt, iters)
+            break
         lam = lam + t * step
         pt = accepted
-    return _NewtonResult(_stall_status(lam, pt, opts), lam, pt, iters)
-
-
-def _stall_status(lam, pt, opts):
-    """Classify a Newton iteration that stopped making progress.
-
-    A gradient within 10x of tolerance is numerically converged (the
-    line search hits rounding noise before the nominal tolerance)."""
-    if np.abs(pt.gradient).max() <= 10.0 * opts.grad_tol:
-        return "converged"
-    return "diverged" if np.abs(lam).max() > opts.multiplier_cap else "stalled"
+    # A stalled iterate within 10x of tolerance is numerically converged:
+    # the line search hits rounding noise before the nominal tolerance.
+    converged = np.abs(pt.gradient).max() <= 10.0 * opts.grad_tol
+    return _NewtonResult(bool(converged), lam, pt, iters)
 
 
 def prune_constraints(ops, targets, labels):
@@ -248,14 +249,14 @@ def prune_constraints(ops, targets, labels):
     return keep
 
 
-def _pinned_face(ops, targets, labels, opts):
+def _pinned_face(ops, targets, labels):
     """Eigenspace to which the first constraint with its target at an end
     of its spectrum pins the state, or None.  One batched eigvalsh finds
     the pinned constraints; a target outside the spectrum is infeasible."""
     w = np.linalg.eigvalsh(ops)
     lo, hi = w[:, 0], w[:, -1]
     scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    tol = opts.boundary_tol * scale
+    tol = _BOUNDARY_TOL * scale
     outside = np.flatnonzero((targets > hi + tol) | (targets < lo - tol))
     if len(outside):
         j = outside[0]
@@ -303,12 +304,12 @@ def _solve_core(ops, targets, labels, base, opts):
     while True:
         keep = prune_constraints(f_ops, targets, labels)
         kept_ops, kept_targets = f_ops[keep], targets[keep]
-        face = _pinned_face(kept_ops, kept_targets, [labels[j] for j in keep], opts)
+        face = _pinned_face(kept_ops, kept_targets, [labels[j] for j in keep])
         if face is None:
             res = _newton(kept_ops, kept_targets, f_base, opts)
             iterations += res.iterations
             weights = _gibbs_weights(res.point)
-            if res.status == "converged":
+            if res.converged:
                 lam = np.zeros(n)
                 lam[keep] = res.lam
                 return _CoreSolution(
@@ -318,8 +319,9 @@ def _solve_core(ops, targets, labels, base, opts):
             face = res.point.V[:, weights > _FACE_TOL]
             if face.shape[1] == len(weights):
                 raise ConvergenceError(
-                    f"dual solver {res.status} after {iterations} iterations "
-                    f"(gradient norm {np.abs(res.point.gradient).max():.3e}) "
+                    f"dual solver did not converge after {iterations} iterations "
+                    f"(gradient norm {np.abs(res.point.gradient).max():.3e}, "
+                    f"largest multiplier {np.abs(res.lam).max():.3e}) "
                     f"with no boundary face"
                 )
         W = W @ face
@@ -376,9 +378,9 @@ def solve_biased(obs: ObservationLevel, prior: PriorChannel,
     opts = opts or SolverOptions()
     if prior.choi.d != obs.d:
         raise InvariantError("prior channel dimension does not match observation")
-    V0, p0 = prior.support()
-    base = np.diag(np.log(p0)).astype(complex)
-    core = _solve_core(dag(V0) @ obs.operators @ V0, obs.targets, obs.labels, base, opts)
+    V0 = prior.frame
+    core = _solve_core(dag(V0) @ obs.operators @ V0, obs.targets, obs.labels,
+                       prior.base, opts)
     omega = V0 @ core.sigma @ dag(V0)
     return _package(obs, core, omega, opts)
 

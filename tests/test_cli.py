@@ -20,6 +20,7 @@ from procmaxent import (
 from procmaxent.cli import (
     EXIT_DEPENDENT,
     EXIT_INFEASIBLE,
+    EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_PARSE,
     ParseError,
@@ -136,6 +137,24 @@ class TestEstimate:
         # an identity prior cannot support |0> -> |1>
         code = main(["estimate", f"{FIXTURES}/v_zero_to_one_identity_prior.json"])
         assert code == EXIT_INFEASIBLE
+
+
+class TestSolverBlock:
+    """The problem file's 'solver' object sets grad_tol and max_iter."""
+
+    def problem_with(self, tmp_path, solver):
+        doc = json.loads(open(f"{FIXTURES}/o1_mixed.json").read())
+        doc["solver"] = solver
+        return write_json(tmp_path, "problem.json", doc)
+
+    def test_iteration_budget_exit_code(self, tmp_path, capsys):
+        path = self.problem_with(tmp_path, {"max_iter": 1, "grad_tol": 1e-14})
+        assert main(["estimate", path]) == EXIT_NO_CONVERGENCE
+
+    def test_unknown_key_exit_code(self, tmp_path, capsys):
+        path = self.problem_with(tmp_path, {"multiplier_cap": 5})
+        assert main(["estimate", path]) == EXIT_PARSE
+        assert "multiplier_cap" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -230,21 +230,31 @@ class TestReduceAncillaAssisted:
         assert np.allclose(X_assisted, X_free, atol=1e-10)
 
     def test_reduction_theorem(self, rng):
-        for D in (1, 2, 3):
-            choi = random_channel(2, 2, rng)
-            Omega = random_state(2 * D, rng)
-            F = random_hermitian(2 * D, rng)
-            X = reduce_ancilla_assisted(Omega, F, 2)
+        from procmaxent.channels import _apply_linear
+
+        # (d, D, rank of Omega); None is full rank.  A rank-deficient
+        # Omega has eigenvectors of zero weight, which the closed form
+        # must not need to skip.
+        cases = [(2, 1, None), (2, 2, None), (2, 3, None), (3, 1, None),
+                 (3, 2, None), (2, 2, 1), (3, 2, 1), (3, 1, 1)]
+        for d, D, rank in cases:
+            choi = random_channel(d, 2, rng)
+            if rank is None:
+                Omega = random_state(d * D, rng)
+            else:
+                G = rng.standard_normal((d * D, rank)) + 1j * rng.standard_normal(
+                    (d * D, rank))
+                Omega = G @ dag(G) / np.vdot(G, G).real
+            F = random_hermitian(d * D, rng)
+            X = reduce_ancilla_assisted(Omega, F, d)
             # direct: act with I_D (x) E on Omega, then measure F
-            out = np.zeros((2 * D, 2 * D), dtype=complex)
+            out = np.zeros((d * D, d * D), dtype=complex)
             for j in range(D):
                 for k in range(D):
-                    block = Omega[j * 2:(j + 1) * 2, k * 2:(k + 1) * 2]
+                    block = Omega[j * d:(j + 1) * d, k * d:(k + 1) * d]
                     # extend E linearly over non-density blocks
-                    from procmaxent.channels import _apply_linear
-
-                    out[j * 2:(j + 1) * 2, k * 2:(k + 1) * 2] = _apply_linear(
-                        choi.matrix, 2, block
+                    out[j * d:(j + 1) * d, k * d:(k + 1) * d] = _apply_linear(
+                        choi.matrix, d, block
                     )
             direct = np.trace(F @ out).real
             assert abs(expectation(choi.matrix, X) - direct) < 1e-10

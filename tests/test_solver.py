@@ -244,8 +244,7 @@ class TestSolveMaxent:
         from procmaxent.solver import _pinned_face
 
         X = np.eye(4) + np.diag([0.0, 0.0, 0.0, 5e-9])
-        assert _pinned_face(np.array([X]), np.array([1.0 + 5e-9]), ["c"],
-                            SolverOptions()) is None
+        assert _pinned_face(np.array([X]), np.array([1.0 + 5e-9]), ["c"]) is None
 
     @pytest.mark.parametrize("bloch, means", [
         ([0.0, 0.0, 1.0], {"x": (PAULI_X, 0.8), "z": (PAULI_Z, 0.8)}),
@@ -321,6 +320,21 @@ class TestNewtonConvergence:
             if sol.iterations > 20 or sol.residuals.max() > 1e-9:
                 bad.append((i, sol.iterations, sol.residuals.max()))
         assert not bad
+
+
+class TestPriorChannel:
+    def test_frame_and_base_built_once(self, rng):
+        # two Kraus operators: a Choi state of rank 2
+        prior = PriorChannel(random_channel(2, 2, rng))
+        frame, base = prior.frame, prior.base
+        assert frame.shape == (4, 2)
+        assert np.allclose(dag(frame) @ frame, np.eye(2), atol=1e-12)
+        p = np.linalg.eigvalsh(prior.choi.matrix)[2:]
+        assert np.allclose(base, np.diag(np.log(p)), atol=1e-12)
+        assert frobenius(frame @ np.diag(p) @ dag(frame) - prior.choi.matrix) < 1e-12
+        for a in (frame, base):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
 
 
 class TestSolveBiased:
