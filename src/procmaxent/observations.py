@@ -158,14 +158,12 @@ def span_report(ops, targets, tol=INDEPENDENCE_TOL):
 class ObservationLevel:
     """A set of linear constraints on a Choi state of system dimension d.
 
-    include_tp (default on) appends the implicit trace-preservation
-    constraints; the full set (user + TP + normalization) must be
-    linearly independent.
+    The trace-preservation constraints are always appended; the full set
+    (user + TP + normalization) must be linearly independent.
     """
 
     d: int
     constraints: tuple
-    include_tp: bool = True
     # built once: the operators of full_constraints() (stacked,
     # read-only), their targets (read-only) and labels
     operators: np.ndarray = field(init=False, repr=False, compare=False)
@@ -182,12 +180,10 @@ class ObservationLevel:
                     f"expected ({D}, {D})"
                 )
         object.__setattr__(self, "constraints", cons)
+        tp_cons, tp_ops = _tp_block(self.d)
+        full = cons + tp_cons
         ops = np.array([c.operator for c in cons], dtype=complex).reshape(-1, D, D)
-        full = cons
-        if self.include_tp:
-            tp_cons, tp_ops = _tp_block(self.d)
-            full += tp_cons
-            ops = np.concatenate((ops, tp_ops))
+        ops = np.concatenate((ops, tp_ops))
         targets = np.array([c.target for c in full])
         ops.setflags(write=False)
         targets.setflags(write=False)
@@ -202,8 +198,8 @@ class ObservationLevel:
             )
 
     def full_constraints(self):
-        """User constraints followed by the TP constraints (if enabled)."""
-        return [*self.constraints, *(_tp_block(self.d)[0] if self.include_tp else ())]
+        """User constraints followed by the TP constraints."""
+        return [*self.constraints, *_tp_block(self.d)[0]]
 
 
 @dataclass(frozen=True)

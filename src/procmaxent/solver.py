@@ -33,6 +33,7 @@ as a target outside its restricted operator's spectrum.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -66,8 +67,13 @@ class SolverOptions:
     max_iter: int = 500
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.max_iter < 1:
-            raise ValueError("invalid solver options")
+        # bool is an int subclass; a problem file's true is not a count
+        if (isinstance(self.grad_tol, bool) or not isinstance(self.grad_tol, numbers.Real)
+                or not self.grad_tol > 0):
+            raise ValueError(f"grad_tol must be a positive number, not {self.grad_tol!r}")
+        if (isinstance(self.max_iter, bool)
+                or not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1):
+            raise ValueError(f"max_iter must be a positive integer, not {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +81,9 @@ class MaxEntSolution:
     """An estimate with its multipliers and residuals.
 
     boundary_flag is set when the estimate lies on a proper face of the
-    state space: the solve narrowed its frame to a face, or the estimate
-    has an eigenvalue below 1e-7 relative to unit trace.
+    state space: the solve narrowed its frame to a face (a biased solve
+    starts on the prior's support), or the estimate has an eigenvalue
+    below 1e-7 relative to unit trace.
     """
 
     choi: ChoiState
@@ -381,6 +388,7 @@ def solve_biased(obs: ObservationLevel, prior: PriorChannel,
     V0 = prior.frame
     core = _solve_core(dag(V0) @ obs.operators @ V0, obs.targets, obs.labels,
                        prior.base, opts)
+    core = core._replace(boundary=core.boundary or V0.shape[1] < V0.shape[0])
     omega = V0 @ core.sigma @ dag(V0)
     return _package(obs, core, omega, opts)
 

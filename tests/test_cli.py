@@ -13,6 +13,8 @@ from procmaxent import (
     ProcessMeasurementSpec,
     maximally_entangled_state,
     random_channel,
+    reduce_ancilla_assisted,
+    reduce_ancilla_free,
     simulate_means,
     solve_biased,
     solve_maxent,
@@ -85,6 +87,38 @@ class TestParsing:
         with pytest.raises(ParseError):
             load_problem(path)
 
+    def test_both_measurement_kinds(self, tmp_path):
+        bell = maximally_entangled_state(2)
+        rho = np.array([[0.75, 0.25 - 0.1j], [0.25 + 0.1j, 0.25]])
+        F = 0.6 * PAULI_X + 0.8 * PAULI_Z
+        path = write_json(tmp_path, "problem.json", {"dimension": 2, "constraints": [
+            {"kind": "ancilla_assisted", "state": matrix_doc(bell),
+             "observable": "ZZ", "mean": 0.0},
+            {"kind": "ancilla_free", "state": matrix_doc(rho),
+             "observable": matrix_doc(F), "mean": 0.0},
+        ]})
+        obs, _, _, _ = load_problem(path)
+        assert np.allclose(obs.operators[0],
+                           reduce_ancilla_assisted(bell, np.kron(PAULI_Z, PAULI_Z), 2))
+        assert np.allclose(obs.operators[1], reduce_ancilla_free(rho, F))
+
+    def test_measurements_key(self, tmp_path, capsys):
+        # problem and design files both read 'measurements', else 'constraints'
+        doc = json.loads(open(f"{FIXTURES}/o1_mixed.json").read())
+        doc["measurements"] = doc.pop("constraints")
+        renamed = write_json(tmp_path, "renamed.json", doc)
+        outs = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        for problem, out in zip((f"{FIXTURES}/o1_mixed.json", renamed), outs):
+            assert main(["estimate", problem, "-o", out]) == EXIT_OK
+        a, b = (json.loads(open(out).read())["multipliers"] for out in outs)
+        assert a == b and any(m["label"] == "m" for m in b)
+
+    def test_design_file_has_no_means(self, capsys):
+        for command in ("estimate", "check"):
+            assert main([command, f"{FIXTURES}/design_o3.json"]) == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert err.startswith("procmaxent: error:") and "missing 'mean'" in err
+
     def test_unreadable_file_exit_code(self, capsys):
         assert main(["estimate", "/nonexistent/problem.json"]) == EXIT_PARSE
 
@@ -155,6 +189,13 @@ class TestSolverBlock:
         path = self.problem_with(tmp_path, {"multiplier_cap": 5})
         assert main(["estimate", path]) == EXIT_PARSE
         assert "multiplier_cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", [{"max_iter": 2.5}, {"max_iter": True},
+                                        {"grad_tol": "1e-8"}])
+    def test_mistyped_value_exit_code(self, tmp_path, capsys, solver):
+        path = self.problem_with(tmp_path, solver)
+        assert main(["estimate", path]) == EXIT_PARSE
+        assert next(iter(solver)) in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -126,10 +126,6 @@ class TestObservationLevel:
         with pytest.raises(DimensionError):
             ObservationLevel(d=2, constraints=(c,))
 
-    def test_include_tp_off(self):
-        obs = ObservationLevel(d=2, constraints=(), include_tp=False)
-        assert obs.full_constraints() == []
-
 
 class TestSpanReport:
     @settings(max_examples=60, deadline=None)

@@ -129,13 +129,6 @@ class TestSolveMaxent:
         assert sol.entropy_bits == pytest.approx(2.0, abs=1e-10)
         assert not sol.boundary_flag
 
-    def test_no_constraints_at_all(self):
-        # no user constraints and no TP constraints: only Tr omega = 1
-        sol = solve_maxent(ObservationLevel(d=2, constraints=(), include_tp=False))
-        assert np.allclose(sol.choi.matrix, np.eye(4) / 4, atol=1e-12)
-        assert sol.residuals.shape == (0,) and sol.labels == ()
-        assert sol.iterations == 0 and not sol.boundary_flag
-
     def test_single_output_mean(self):
         # maximally mixed test state, <sigma_z> = m: constant channel onto
         # (I + m sigma_z)/2
@@ -377,6 +370,19 @@ class TestSolveBiased:
         with pytest.raises(InfeasibleError):
             solve_biased(obs, prior)
 
+    def test_boundary_flag_on_prior_support(self):
+        # <X> = 0.14 on input |+>: on the support span{|00>, |11>} of the
+        # dephasing prior the estimate has eigenvalues (0, 0, 0.43, 0.57)
+        obs = obs_single(reduce_ancilla_free(bloch_to_density([1.0, 0.0, 0.0]),
+                                             PAULI_X), 0.14)
+        dephasing = PriorChannel(ChoiState(2, np.diag([0.5, 0.0, 0.0, 0.5])))
+        sol = solve_biased(obs, dephasing)
+        assert np.allclose(np.linalg.eigvalsh(sol.choi.matrix), [0, 0, 0.43, 0.57],
+                           atol=1e-8)
+        assert sol.boundary_flag
+        full_rank = PriorChannel(ChoiState(2, np.eye(4) / 4))
+        assert not solve_biased(obs, full_rank).boundary_flag
+
     def test_dimension_mismatch(self, rng):
         from procmaxent import InvariantError
 
@@ -421,6 +427,14 @@ class TestSolveStateMaxent:
     def test_no_constraints(self):
         rho, _ = solve_state_maxent([], 3)
         assert np.allclose(rho, np.eye(3) / 3, atol=1e-12)
+
+    def test_target_outside_spectrum_on_face(self):
+        # p0 pins the face span{|1>, |2>}, where a has spectrum [-0.2, 0.2]
+        cons = [Constraint(np.diag([1.0, 0.0, 0.0]), 0.0, "p0"),
+                Constraint(np.diag([5.0, 0.2, -0.2]), 3.0, "a")]
+        with pytest.raises(InfeasibleError) as info:
+            solve_state_maxent(cons, 3)
+        assert info.value.label == "a"
 
     def test_matches_bloch_formula(self, rng):
         t = 0.8 * random_unit_vector(rng)
