@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import re
 import sys
 
@@ -120,6 +121,9 @@ def _parse_spec(entry, d, index, require_mean):
     if require_mean and mean is None:
         raise ParseError(f"constraint {index}: missing 'mean'")
     if mean is not None:
+        # bool is an int subclass; a JSON true is not a mean
+        if isinstance(mean, bool) or not isinstance(mean, numbers.Real):
+            raise ParseError(f"constraint {index}: 'mean' must be a number, not {mean!r}")
         mean = float(mean)
     observable = entry.get("observable")
     if kind == "raw":
@@ -151,14 +155,23 @@ def _load_json(path):
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
 
 
+def _dimension(doc, what):
+    d = doc["dimension"]
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise ParseError(f"{what}: 'dimension' must be a positive integer, not {d!r}")
+    return d
+
+
 def _load_specs(path, require_mean):
     """(d, specs, doc) of a problem or design file, whose entries sit
     under 'measurements', else under 'constraints'."""
     doc = _load_json(path)
     if not isinstance(doc, dict) or "dimension" not in doc:
         raise ParseError(f"{path}: expected an object with 'dimension'")
-    d = int(doc["dimension"])
-    entries = doc.get("measurements", doc.get("constraints", []))
+    d = _dimension(doc, path)
+    if "measurements" not in doc and "constraints" not in doc:
+        raise ParseError(f"{path}: expected 'measurements' or 'constraints'")
+    entries = doc.get("measurements", doc.get("constraints"))
     return d, [_parse_spec(entry, d, i, require_mean)
                for i, entry in enumerate(entries)], doc
 
@@ -192,7 +205,7 @@ def _channel_from_doc(doc, d=None):
     if d is None:
         if "dimension" not in doc:
             raise ParseError("channel document missing 'dimension'")
-        d = int(doc["dimension"])
+        d = _dimension(doc, "channel document")
     if kind == "choi":
         omega = _matrix_from_json(doc.get("choi"), "choi matrix")
         return ChoiState(d, omega)

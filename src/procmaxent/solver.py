@@ -19,6 +19,15 @@ level when it still lowers the gradient's max-norm: near the optimum
 the dual is flat to machine precision and Armijo alone cannot tell a
 good step from a bad one.
 
+A record whose constraints and Tr omega = 1 span every Hermitian
+operator on the frame (complete process tomography) determines the
+state, and the maximum-entropy estimate is that state.  Such a pass is
+solved directly: one least-squares solve for the state and one
+eigendecomposition, which shows whether it is positive, singular (its
+support is then the next face) or of full rank (the multipliers then
+follow from log omega by one more linear solve).  Newton runs on every
+other pass.
+
 Targets on the boundary of the jointly feasible set make the dual
 infimum unattained: every feasible state lives on a face of the state
 space, and the multipliers diverge.  The solver reduces the problem to
@@ -46,7 +55,7 @@ from .errors import (
     InfeasibleError,
     InvariantError,
 )
-from .linalg import SUPPORT_TOL, dag
+from .linalg import DENSITY_EIG_TOL, SUPPORT_TOL, dag
 from .observations import ObservationLevel, span_report
 
 # Armijo sufficient-decrease constant, backtracking factor and limit.
@@ -83,7 +92,10 @@ class MaxEntSolution:
     boundary_flag is set when the estimate lies on a proper face of the
     state space: the solve narrowed its frame to a face (a biased solve
     starts on the prior's support), or the estimate has an eigenvalue
-    below 1e-7 relative to unit trace.
+    below 1e-7 relative to unit trace.  The multipliers of a flagged
+    estimate are those of its face: the estimate is exp(base - sum_j
+    lam_j X_j)/Z restricted to the face, and a constraint that pruning
+    on the face removed has lam_j = 0.
     """
 
     choi: ChoiState
@@ -92,7 +104,7 @@ class MaxEntSolution:
     log_partition: float          # natural-log partition function of the solved frame
     entropy_bits: float
     residuals: np.ndarray         # |Tr(omega X_j) - x_j| per constraint
-    iterations: int               # Newton iterations over all face passes
+    iterations: int               # Newton iterations over all passes (0 if all determined)
     boundary_flag: bool
 
 
@@ -292,16 +304,83 @@ class _CoreSolution(NamedTuple):
     boundary: bool
 
 
+class _Determined(NamedTuple):
+    face: np.ndarray      # support of sigma when it is singular, else None
+    sigma: np.ndarray     # the state, when it has full rank (so for w and coef)
+    w: np.ndarray         # its eigenvalues, ascending
+    coef: np.ndarray      # (ln Z, lam) over I and the kept ops
+
+
+def _fit_state(ops, targets, U, r):
+    """The Hermitian sigma = U X U^dag with X zero past its first r rows
+    and columns that best meets Tr sigma = 1 and Tr(sigma X_j) = x_j in
+    the least-squares sense.
+
+    For Hermitian Y, Tr(X Y) = conj(vec Y) . vec X, so the free entries
+    of X solve a linear system with one row per constraint.  The R factor
+    of one Householder QR of [rows, (1, x)] gives them by a triangular
+    solve.
+    """
+    k = len(U)
+    Y = np.concatenate((np.eye(k, dtype=complex)[None], dag(U) @ ops @ U))
+    free = np.ones((k, k), dtype=bool)
+    free[r:, r:] = False
+    A = Y.reshape(len(Y), -1)[:, free.reshape(-1)].conj()
+    m = A.shape[1]
+    R = np.linalg.qr(np.column_stack((A, np.concatenate(([1.0], targets)))), mode="r")
+    X = np.zeros((k, k), dtype=complex)
+    X[free] = np.linalg.solve(R[:m, :m], R[:m, m])
+    sigma = U @ X @ dag(U)
+    return 0.5 * (sigma + dag(sigma))
+
+
+def _determined_state(ops, targets, keep, base):
+    """The one state sigma with Tr sigma = 1 and Tr(sigma X_j) = x_j when
+    the identity and the kept operators, k**2 - 1 of them, span the
+    Hermitian operators on C^k: its support when it is singular, else
+    sigma with the coefficients of base - log sigma = ln Z I + sum_kept
+    lam_j X_j.
+
+    sigma meets every constraint, not only the kept ones, in the
+    least-squares sense: on a face the kept operators alone can be
+    ill-conditioned, and meeting only them leaves the others with
+    residuals far above round-off.  The support of a singular sigma is
+    off by its error over the spectral gap, and a state on that support
+    misses the targets by as much; a second fit that holds sigma's block
+    on its kernel at zero aligns the support to second order.  A state
+    with an eigenvalue below -DENSITY_EIG_TOL is infeasible.
+    """
+    k = base.shape[0]
+    sigma = _fit_state(ops, targets, np.eye(k), k)
+    w, V = np.linalg.eigh(sigma)
+    if w[0] < -DENSITY_EIG_TOL:
+        raise InfeasibleError(
+            f"the constraints determine a state with eigenvalue {w[0]:.12g} < 0 "
+            f"on the face: no channel meets them"
+        )
+    r = int(np.count_nonzero(w > SUPPORT_TOL * w[-1]))
+    if r < k:
+        # eigh orders eigenvalues ascending; the support goes first
+        sigma = _fit_state(ops, targets, V[:, ::-1], r)
+        return _Determined(np.linalg.eigh(sigma)[1][:, k - r:], None, None, None)
+    M = np.concatenate((np.eye(k, dtype=complex)[None], ops[keep])).reshape(k * k, k * k)
+    B = base - (V * np.log(w)) @ dag(V)
+    return _Determined(None, sigma, w, np.linalg.solve(M.T, B.reshape(-1)).real)
+
+
 def _solve_core(ops, targets, labels, base, opts):
     """Solve min_lam ln Tr exp(base - sum lam_j X_j) + lam . x on the
     smallest face of the state space that holds every feasible state.
 
     Each pass restricts the problem to the frame W (orthonormal columns),
     prunes it, and narrows W to a face: the eigenspace a pinned target
-    selects, or the support of a Newton iterate that did not converge.
-    A constraint pinned on the whole frame equals x I there, which
-    pruning removes, so each face is proper: every pass removes at least
-    one dimension and the loop ends within dim passes.
+    selects, the support of the state the constraints determine, or the
+    support of a Newton iterate that did not converge.  A pass whose kept
+    constraints and the identity span the Hermitian operators on the
+    frame is determined and is solved by _determined_state, without
+    Newton.  A constraint pinned on the whole frame equals x I there,
+    which pruning removes, so each face is proper: every pass removes at
+    least one dimension and the loop ends within dim passes.
     """
     n = len(targets)
     dim = base.shape[0]
@@ -312,6 +391,15 @@ def _solve_core(ops, targets, labels, base, opts):
         keep = prune_constraints(f_ops, targets, labels)
         kept_ops, kept_targets = f_ops[keep], targets[keep]
         face = _pinned_face(kept_ops, kept_targets, [labels[j] for j in keep])
+        if face is None and len(keep) == W.shape[1] ** 2 - 1:
+            det = _determined_state(f_ops, targets, keep, f_base)
+            face = det.face
+            if face is None:
+                lam = np.zeros(n)
+                lam[keep] = det.coef[1:]
+                return _CoreSolution(
+                    W @ det.sigma @ dag(W), lam, float(det.coef[0]), iterations,
+                    bool(W.shape[1] < dim or det.w[0] < _FACE_TOL))
         if face is None:
             res = _newton(kept_ops, kept_targets, f_base, opts)
             iterations += res.iterations

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from procmaxent.linalg import dag
+from procmaxent.linalg import PAULIS, dag
 
 
 @pytest.fixture
@@ -29,3 +29,16 @@ def random_unitary(n, rng):
 def random_unit_vector(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
+
+
+def transpose_map_record(rng, probes=4):
+    """(label, probe, Pauli, mean) of the transpose map, which is positive
+    but not completely positive (Choi matrix SWAP/2), from random pure
+    qubit probes each followed by the three Pauli measurements."""
+    record = []
+    for p in range(probes):
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        rho = np.outer(v, v.conj()) / np.vdot(v, v).real
+        record += [(f"p{p}:{k}", rho, P, np.trace(P @ rho.T).real)
+                   for k, P in enumerate(PAULIS)]
+    return record

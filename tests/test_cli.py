@@ -33,6 +33,8 @@ from procmaxent.cli import (
 )
 from procmaxent.linalg import PAULI_X, PAULI_Y, PAULI_Z, bloch_to_density, frobenius
 
+from conftest import transpose_map_record
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = str(ROOT / "demos" / "fixtures")
 
@@ -119,6 +121,27 @@ class TestParsing:
             err = capsys.readouterr().err
             assert err.startswith("procmaxent: error:") and "missing 'mean'" in err
 
+    @pytest.mark.parametrize("field, value", [("dimension", "two"), ("dimension", 2.7),
+                                              ("dimension", True), ("mean", "abc")])
+    def test_malformed_number_exit_code(self, tmp_path, capsys, field, value):
+        doc = json.loads(open(f"{FIXTURES}/o1_mixed.json").read())
+        if field == "dimension":
+            doc["dimension"] = value
+        else:
+            doc["constraints"][0]["mean"] = value
+        path = write_json(tmp_path, "problem.json", doc)
+        assert main(["estimate", path]) == EXIT_PARSE
+        assert f"'{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["estimate", "check"])
+    def test_channel_file_is_not_a_problem(self, capsys, command):
+        # a channel document has a 'dimension' but no entry list
+        channels = sorted(pathlib.Path(FIXTURES).glob("channel_*.json"))
+        assert len(channels) == 4
+        for path in channels:
+            assert main([command, str(path)]) == EXIT_PARSE
+            assert "'measurements' or 'constraints'" in capsys.readouterr().err
+
     def test_unreadable_file_exit_code(self, capsys):
         assert main(["estimate", "/nonexistent/problem.json"]) == EXIT_PARSE
 
@@ -158,6 +181,15 @@ class TestEstimate:
 
     def test_out_of_range_target_exit_code(self, capsys):
         assert main(["estimate", f"{FIXTURES}/infeasible_range.json"]) == EXIT_INFEASIBLE
+
+    def test_non_cp_record_exit_code(self, tmp_path, capsys, rng):
+        # exact means of the transpose map determine SWAP/2, which is no channel
+        path = write_json(tmp_path, "transpose.json", {"dimension": 2, "constraints": [
+            {"kind": "ancilla_free", "state": matrix_doc(rho), "observable": matrix_doc(P),
+             "mean": x, "label": label}
+            for label, rho, P, x in transpose_map_record(rng)]})
+        assert main(["estimate", path]) == EXIT_INFEASIBLE
+        assert "eigenvalue -0.5 " in capsys.readouterr().err
 
     def test_biased_flag(self, tmp_path, capsys):
         out = str(tmp_path / "out.json")
