@@ -23,7 +23,7 @@ from procmaxent import (
     solve_biased,
     solve_maxent,
 )
-from procmaxent.linalg import PAULI_X, PAULI_Y, PAULI_Z, bloch_to_density, dag
+from procmaxent.linalg import PAULI_X, PAULI_Y, PAULI_Z, bloch_to_density
 
 np.set_printoptions(precision=4, suppress=True)
 

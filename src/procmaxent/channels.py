@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, InvariantError, NotAChannelError
+from .errors import DimensionError, NotAChannelError
 from .linalg import (
     ID2,
     PAULIS,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import numbers
 import re
 import sys
@@ -145,13 +146,27 @@ def _parse_spec(entry, d, index, require_mean):
                                   mean=mean, label=label)
 
 
+def _finite(text):
+    # json reads NaN, Infinity and -Infinity, and 1e999 as inf
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text:.24}")
+    return value
+
+
+def _integer(text):
+    _finite(text)  # an integer past the float range reads as inf
+    return int(text)
+
+
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=_finite, parse_int=_integer,
+                             parse_constant=_finite)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
 
 
@@ -169,11 +184,13 @@ def _load_specs(path, require_mean):
     if not isinstance(doc, dict) or "dimension" not in doc:
         raise ParseError(f"{path}: expected an object with 'dimension'")
     d = _dimension(doc, path)
-    if "measurements" not in doc and "constraints" not in doc:
+    key = "measurements" if "measurements" in doc else "constraints"
+    if key not in doc:
         raise ParseError(f"{path}: expected 'measurements' or 'constraints'")
-    entries = doc.get("measurements", doc.get("constraints"))
+    if not isinstance(doc[key], list):
+        raise ParseError(f"{path}: '{key}' must be a list, not {type(doc[key]).__name__}")
     return d, [_parse_spec(entry, d, i, require_mean)
-               for i, entry in enumerate(entries)], doc
+               for i, entry in enumerate(doc[key])], doc
 
 
 def load_problem(path):

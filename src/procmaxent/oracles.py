@@ -26,7 +26,7 @@ import numpy as np
 
 from .channels import ChoiState, QubitAffineMap, bloch_affine_map
 from .errors import BoundaryCaseError, InvariantError, OracleFailureError
-from .linalg import ID2, PAULI_Z, PAULIS, bloch_to_density, dag, matrix_exp
+from .linalg import ID2, PAULI_Z, PAULIS, bloch_to_density, matrix_exp
 from .observations import Constraint, ObservationLevel, reduce_ancilla_free
 
 

@@ -32,16 +32,26 @@ Targets on the boundary of the jointly feasible set make the dual
 infimum unattained: every feasible state lives on a face of the state
 space, and the multipliers diverge.  The solver reduces the problem to
 that face before it finishes (facial reduction; Borwein and Wolkowicz,
-J. Austral. Math. Soc. 30 (1981)).  A target at an end of its
-operator's spectrum pins the state to that eigenspace; otherwise a
-Newton run that does not converge leaves an iterate whose weight sits on
-the face.  Each restriction is followed by pruning on the face, where
-jointly infeasible targets show up as inconsistent dependent targets or
-as a target outside its restricted operator's spectrum.
+J. Austral. Math. Soc. 30 (1981)), but only to a face the data prove
+holds every feasible state (Drusvyatskiy and Wolkowicz, The many faces
+of degeneracy in conic optimization (2017)): the eigenspace to which a
+target at an end of its operator's spectrum pins the state, or the
+support of a state the constraints determine.  Each restriction is
+followed by pruning on the face, where jointly infeasible targets show
+up as inconsistent dependent targets or as a target outside its
+restricted operator's spectrum.
+
+A Newton run that does not converge on its frame ends the solve.  Weak
+duality decides what it means: every state omega on the frame that
+meets the targets has D(lam) >= S(omega) + Tr(omega base) >= min
+eig(base) (Gibbs variational principle), so a dual value below that
+bound proves the data infeasible.  Any other stall is a
+ConvergenceError.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -68,6 +78,8 @@ _FACE_TOL = 1e-7
 _MULTIPLIER_CAP = 1000.0
 # Relative distance of a target from its operator's spectral end that pins it.
 _BOUNDARY_TOL = 1e-9
+# Relative tolerance to which a target must be met, as pruning checks it.
+_TARGET_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -78,8 +90,8 @@ class SolverOptions:
     def __post_init__(self):
         # bool is an int subclass; a problem file's true is not a count
         if (isinstance(self.grad_tol, bool) or not isinstance(self.grad_tol, numbers.Real)
-                or not self.grad_tol > 0):
-            raise ValueError(f"grad_tol must be a positive number, not {self.grad_tol!r}")
+                or not 0 < self.grad_tol < math.inf):
+            raise ValueError(f"grad_tol must be a positive finite number, not {self.grad_tol!r}")
         if (isinstance(self.max_iter, bool)
                 or not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1):
             raise ValueError(f"max_iter must be a positive integer, not {self.max_iter!r}")
@@ -259,7 +271,7 @@ def prune_constraints(ops, targets, labels):
     """
     keep, dependent, implied = span_report(ops, targets, tol=1e-9)
     for j, x in zip(dependent, implied):
-        if abs(x - targets[j]) > 1e-8 * max(1.0, abs(targets[j])):
+        if abs(x - targets[j]) > _TARGET_TOL * max(1.0, abs(targets[j])):
             raise InfeasibleError(
                 f"constraint {labels[j]!r}: target {targets[j]:.12g} is "
                 f"inconsistent with the feasible span (implied {x:.12g})",
@@ -304,13 +316,6 @@ class _CoreSolution(NamedTuple):
     boundary: bool
 
 
-class _Determined(NamedTuple):
-    face: np.ndarray      # support of sigma when it is singular, else None
-    sigma: np.ndarray     # the state, when it has full rank (so for w and coef)
-    w: np.ndarray         # its eigenvalues, ascending
-    coef: np.ndarray      # (ln Z, lam) over I and the kept ops
-
-
 def _fit_state(ops, targets, U, r):
     """The Hermitian sigma = U X U^dag with X zero past its first r rows
     and columns that best meets Tr sigma = 1 and Tr(sigma X_j) = x_j in
@@ -337,9 +342,10 @@ def _fit_state(ops, targets, U, r):
 def _determined_state(ops, targets, keep, base):
     """The one state sigma with Tr sigma = 1 and Tr(sigma X_j) = x_j when
     the identity and the kept operators, k**2 - 1 of them, span the
-    Hermitian operators on C^k: its support when it is singular, else
-    sigma with the coefficients of base - log sigma = ln Z I + sum_kept
-    lam_j X_j.
+    Hermitian operators on C^k, as (face, sigma, w, coef): the support of
+    sigma when it is singular (the rest None), else None, sigma, its
+    ascending eigenvalues w and the coefficients coef = (ln Z, lam_kept)
+    of base - log sigma = ln Z I + sum_kept lam_j X_j.
 
     sigma meets every constraint, not only the kept ones, in the
     least-squares sense: on a face the kept operators alone can be
@@ -362,70 +368,92 @@ def _determined_state(ops, targets, keep, base):
     if r < k:
         # eigh orders eigenvalues ascending; the support goes first
         sigma = _fit_state(ops, targets, V[:, ::-1], r)
-        return _Determined(np.linalg.eigh(sigma)[1][:, k - r:], None, None, None)
+        return np.linalg.eigh(sigma)[1][:, k - r:], None, None, None
     M = np.concatenate((np.eye(k, dtype=complex)[None], ops[keep])).reshape(k * k, k * k)
     B = base - (V * np.log(w)) @ dag(V)
-    return _Determined(None, sigma, w, np.linalg.solve(M.T, B.reshape(-1)).real)
+    return None, sigma, w, np.linalg.solve(M.T, B.reshape(-1)).real
 
 
-def _solve_core(ops, targets, labels, base, opts):
+def _solve_core(ops, targets, labels, frame, base, opts):
     """Solve min_lam ln Tr exp(base - sum lam_j X_j) + lam . x on the
-    smallest face of the state space that holds every feasible state.
+    smallest proved face of the state space that holds every feasible
+    state.
 
-    Each pass restricts the problem to the frame W (orthonormal columns),
-    prunes it, and narrows W to a face: the eigenspace a pinned target
-    selects, the support of the state the constraints determine, or the
-    support of a Newton iterate that did not converge.  A pass whose kept
-    constraints and the identity span the Hermitian operators on the
-    frame is determined and is solved by _determined_state, without
+    The solve starts on the span of frame (orthonormal columns); ops and
+    base are given on that span, as frame^dag X_j frame, and the returned
+    state acts on the space of frame's rows.  Each pass prunes the
+    problem on the frame W and narrows W to a face the data prove: the
+    eigenspace a pinned target selects, or the support of the state the
+    constraints determine.  A pass whose kept constraints and the
+    identity span the Hermitian operators on the frame is determined and
+    is solved by _determined_state, without Newton; every other pass runs
     Newton.  A constraint pinned on the whole frame equals x I there,
-    which pruning removes, so each face is proper: every pass removes at
-    least one dimension and the loop ends within dim passes.
+    which pruning removes, so each face is proper and the loop ends
+    within dim passes.
+
+    A Newton run that does not converge ends the solve: _refuse raises
+    InfeasibleError when weak duality proves the data infeasible, else
+    ConvergenceError.
     """
-    n = len(targets)
-    dim = base.shape[0]
-    W = np.eye(dim, dtype=complex)
-    f_ops, f_base = ops, base
+    n, dim = len(targets), frame.shape[0]
+    W, f_ops, f_base = frame, ops, base
     iterations = 0
     while True:
         keep = prune_constraints(f_ops, targets, labels)
         kept_ops, kept_targets = f_ops[keep], targets[keep]
         face = _pinned_face(kept_ops, kept_targets, [labels[j] for j in keep])
         if face is None and len(keep) == W.shape[1] ** 2 - 1:
-            det = _determined_state(f_ops, targets, keep, f_base)
-            face = det.face
+            face, sigma, w, coef = _determined_state(f_ops, targets, keep, f_base)
             if face is None:
-                lam = np.zeros(n)
-                lam[keep] = det.coef[1:]
-                return _CoreSolution(
-                    W @ det.sigma @ dag(W), lam, float(det.coef[0]), iterations,
-                    bool(W.shape[1] < dim or det.w[0] < _FACE_TOL))
-        if face is None:
+                lam_kept, ln_z, least = coef[1:], coef[0], w[0]
+                break
+        elif face is None:
             res = _newton(kept_ops, kept_targets, f_base, opts)
             iterations += res.iterations
-            weights = _gibbs_weights(res.point)
-            if res.converged:
-                lam = np.zeros(n)
-                lam[keep] = res.lam
-                return _CoreSolution(
-                    W @ res.point.omega @ dag(W), lam,
-                    res.point.value - float(res.lam @ kept_targets), iterations,
-                    bool(W.shape[1] < dim or weights.min() < _FACE_TOL))
-            face = res.point.V[:, weights > _FACE_TOL]
-            if face.shape[1] == len(weights):
-                raise ConvergenceError(
-                    f"dual solver did not converge after {iterations} iterations "
-                    f"(gradient norm {np.abs(res.point.gradient).max():.3e}, "
-                    f"largest multiplier {np.abs(res.lam).max():.3e}) "
-                    f"with no boundary face"
-                )
+            if not res.converged:
+                _refuse(res, kept_targets, f_base, iterations)
+            sigma, lam_kept = res.point.omega, res.lam
+            ln_z = res.point.value - float(res.lam @ kept_targets)
+            least = _gibbs_weights(res.point).min()
+            break
         W = W @ face
         f_ops, f_base = dag(face) @ f_ops @ face, dag(face) @ f_base @ face
+    lam = np.zeros(n)
+    lam[keep] = lam_kept
+    return _CoreSolution(W @ sigma @ dag(W), lam, float(ln_z), iterations,
+                         bool(W.shape[1] < dim or least < _FACE_TOL))
 
 
-def _package(obs, core, omega, opts):
-    residuals = np.abs(np.einsum("jkl,lk->j", obs.operators, omega).real - obs.targets)
-    choi = ChoiState(obs.d, 0.5 * (omega + dag(omega)))
+def _refuse(res, targets, base, iterations):
+    """Raise InfeasibleError when the dual value of a Newton run that did
+    not converge is below the least value a feasible state allows, else
+    ConvergenceError.
+
+    For every state omega on the frame that meets the targets, ln Z(lam)
+    >= S(omega) + Tr(omega base) - lam . x (Gibbs variational principle),
+    so D(lam) >= min eig(base): a lower value proves that no such state
+    exists (weak duality).  The bound is lowered by sum_j |lam_j| times
+    the tolerance to which pruning holds target j: a state that meets
+    every target only to that tolerance moves the dual value by at most
+    as much, so the certificate covers it too.
+    """
+    floor = np.linalg.eigvalsh(base)[0]
+    slack = _TARGET_TOL * float(np.abs(res.lam) @ np.maximum(1.0, np.abs(targets)))
+    if res.point.value < floor - slack:
+        raise InfeasibleError(
+            f"the dual value {res.point.value:.12g} is below {floor:.12g}, the "
+            f"least that any state meeting the constraints allows: no channel meets them"
+        )
+    raise ConvergenceError(
+        f"dual solver did not converge after {iterations} iterations "
+        f"(gradient norm {np.abs(res.point.gradient).max():.3e}, "
+        f"largest multiplier {np.abs(res.lam).max():.3e})"
+    )
+
+
+def _package(obs, core, opts):
+    residuals = np.abs(np.einsum("jkl,lk->j", obs.operators, core.sigma).real - obs.targets)
+    choi = ChoiState(obs.d, 0.5 * (core.sigma + dag(core.sigma)))
     w = np.linalg.eigvalsh(choi.matrix)
     p = w[w > 1e-15]
     entropy_bits = float(-np.sum(p * np.log2(p)))
@@ -454,10 +482,9 @@ def solve_maxent(obs: ObservationLevel, opts: SolverOptions | None = None):
     constraints; among all such states it has maximal entropy.
     """
     opts = opts or SolverOptions()
-    D = obs.d ** 2
-    core = _solve_core(obs.operators, obs.targets, obs.labels,
-                       np.zeros((D, D), dtype=complex), opts)
-    return _package(obs, core, core.sigma, opts)
+    I = np.eye(obs.d ** 2, dtype=complex)
+    core = _solve_core(obs.operators, obs.targets, obs.labels, I, 0 * I, opts)
+    return _package(obs, core, opts)
 
 
 def solve_biased(obs: ObservationLevel, prior: PriorChannel,
@@ -475,10 +502,8 @@ def solve_biased(obs: ObservationLevel, prior: PriorChannel,
         raise InvariantError("prior channel dimension does not match observation")
     V0 = prior.frame
     core = _solve_core(dag(V0) @ obs.operators @ V0, obs.targets, obs.labels,
-                       prior.base, opts)
-    core = core._replace(boundary=core.boundary or V0.shape[1] < V0.shape[0])
-    omega = V0 @ core.sigma @ dag(V0)
-    return _package(obs, core, omega, opts)
+                       V0, prior.base, opts)
+    return _package(obs, core, opts)
 
 
 def boundary_resolve(obs: ObservationLevel, opts: SolverOptions | None = None):
@@ -507,5 +532,6 @@ def solve_state_maxent(constraints, dim, opts: SolverOptions | None = None):
     ops = np.array([c.operator for c in constraints]).reshape(-1, dim, dim)
     targets = np.array([c.target for c in constraints])
     labels = [c.label for c in constraints]
-    core = _solve_core(ops, targets, labels, np.zeros((dim, dim), dtype=complex), opts)
+    I = np.eye(dim, dtype=complex)
+    core = _solve_core(ops, targets, labels, I, 0 * I, opts)
     return core.sigma, core.lam

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from procmaxent.linalg import PAULIS, dag
+from procmaxent import ProcessMeasurementSpec
+from procmaxent.linalg import PAULIS, dag, hermitian_basis
 
 
 @pytest.fixture
@@ -42,3 +43,18 @@ def transpose_map_record(rng, probes=4):
         record += [(f"p{p}:{k}", rho, P, np.trace(P @ rho.T).real)
                    for k, P in enumerate(PAULIS)]
     return record
+
+
+def probe_tomography(d, probes, rng):
+    """Random pure probes, each followed by full output tomography in the
+    generalized Gell-Mann basis; d**2 probes are informationally complete."""
+    specs = []
+    for p in range(probes):
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        rho = np.outer(v, v.conj()) / np.vdot(v, v).real
+        specs += [
+            ProcessMeasurementSpec("ancilla_free", state=rho, observable=F,
+                                   label=f"p{p}:{k}")
+            for k, F in enumerate(hermitian_basis(d))
+        ]
+    return specs

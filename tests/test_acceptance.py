@@ -6,7 +6,6 @@ import pathlib
 import time
 
 import numpy as np
-import pytest
 
 from procmaxent import (
     Constraint,
@@ -20,7 +19,6 @@ from procmaxent import (
     choi_from_apply,
     dual_eval,
     expectation,
-    maximally_entangled_state,
     oracle_O1_pure,
     oracle_O4,
     process_entropy,

@@ -15,7 +15,7 @@ from procmaxent import (
     process_entropy,
     random_channel,
 )
-from procmaxent.linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dag, density_to_bloch
+from procmaxent.linalg import ID2, PAULI_X, dag, density_to_bloch
 
 from conftest import random_state, random_unitary
 

@@ -33,7 +33,7 @@ from procmaxent.cli import (
 )
 from procmaxent.linalg import PAULI_X, PAULI_Y, PAULI_Z, bloch_to_density, frobenius
 
-from conftest import transpose_map_record
+from conftest import probe_tomography, transpose_map_record
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = str(ROOT / "demos" / "fixtures")
@@ -106,13 +106,13 @@ class TestParsing:
 
     def test_measurements_key(self, tmp_path, capsys):
         # problem and design files both read 'measurements', else 'constraints'
-        doc = json.loads(open(f"{FIXTURES}/o1_mixed.json").read())
+        doc = json.loads(pathlib.Path(f"{FIXTURES}/o1_mixed.json").read_text())
         doc["measurements"] = doc.pop("constraints")
         renamed = write_json(tmp_path, "renamed.json", doc)
         outs = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
         for problem, out in zip((f"{FIXTURES}/o1_mixed.json", renamed), outs):
             assert main(["estimate", problem, "-o", out]) == EXIT_OK
-        a, b = (json.loads(open(out).read())["multipliers"] for out in outs)
+        a, b = (json.loads(pathlib.Path(out).read_text())["multipliers"] for out in outs)
         assert a == b and any(m["label"] == "m" for m in b)
 
     def test_design_file_has_no_means(self, capsys):
@@ -124,7 +124,7 @@ class TestParsing:
     @pytest.mark.parametrize("field, value", [("dimension", "two"), ("dimension", 2.7),
                                               ("dimension", True), ("mean", "abc")])
     def test_malformed_number_exit_code(self, tmp_path, capsys, field, value):
-        doc = json.loads(open(f"{FIXTURES}/o1_mixed.json").read())
+        doc = json.loads(pathlib.Path(f"{FIXTURES}/o1_mixed.json").read_text())
         if field == "dimension":
             doc["dimension"] = value
         else:
@@ -142,6 +142,33 @@ class TestParsing:
             assert main([command, str(path)]) == EXIT_PARSE
             assert "'measurements' or 'constraints'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["mean", "bloch", "matrix", "solver"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999",
+                                         pytest.param("1" + "0" * 400, id="huge-int")])
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, where, literal):
+        # json reads these literals; 1e999 and the integer overflow a float
+        entry = {"kind": "ancilla_free", "observable": "Z", "mean": 0.5,
+                 "state": {"bloch": [0.0, 0.0, 0.0]}}
+        doc = {"dimension": 2, "constraints": [entry]}
+        if where == "mean":
+            entry["mean"] = "@"
+        elif where == "bloch":
+            entry["state"] = {"bloch": ["@", 0.0, 0.0]}
+        elif where == "matrix":
+            entry["state"] = {"re": [["@", 0.0], [0.0, 0.5]]}
+        else:
+            doc["solver"] = {"grad_tol": "@"}
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc).replace('"@"', literal))
+        assert main(["estimate", str(path)]) == EXIT_PARSE
+        assert "non-finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entries", [5, "Z", {"kind": "raw"}])
+    def test_entry_list_must_be_a_list(self, tmp_path, capsys, entries):
+        path = write_json(tmp_path, "problem.json", {"dimension": 2, "constraints": entries})
+        assert main(["estimate", path]) == EXIT_PARSE
+        assert "'constraints' must be a list" in capsys.readouterr().err
+
     def test_unreadable_file_exit_code(self, capsys):
         assert main(["estimate", "/nonexistent/problem.json"]) == EXIT_PARSE
 
@@ -155,7 +182,7 @@ class TestEstimate:
     def test_o1_mixed(self, tmp_path, capsys):
         out = str(tmp_path / "out.json")
         assert main(["estimate", f"{FIXTURES}/o1_mixed.json", "-o", out]) == EXIT_OK
-        doc = json.loads(open(out).read())
+        doc = json.loads(pathlib.Path(out).read_text())
         omega = read_choi(doc)
         expected = np.diag([0.375, 0.125, 0.375, 0.125])
         assert frobenius(omega - expected) < 1e-7
@@ -166,14 +193,14 @@ class TestEstimate:
     def test_empty_problem_gives_maximally_mixed(self, tmp_path):
         out = str(tmp_path / "out.json")
         assert main(["estimate", f"{FIXTURES}/empty.json", "-o", out]) == EXIT_OK
-        doc = json.loads(open(out).read())
+        doc = json.loads(pathlib.Path(out).read_text())
         assert doc["entropy_bits"] == pytest.approx(2.0, abs=1e-9)
         assert frobenius(read_choi(doc) - np.eye(4) / 4) < 1e-9
 
     def test_output_round_trips_exactly(self, tmp_path):
         out = str(tmp_path / "out.json")
         main(["estimate", f"{FIXTURES}/o3.json", "-o", out])
-        doc = json.loads(open(out).read())
+        doc = json.loads(pathlib.Path(out).read_text())
         ChoiState(2, read_choi(doc))  # parses back into a valid channel
 
     def test_dependent_constraints_exit_code(self, capsys):
@@ -196,8 +223,23 @@ class TestEstimate:
         code = main(["estimate", f"{FIXTURES}/v_zero_to_zero.json",
                      "--biased", f"{FIXTURES}/channel_mix_x.json", "-o", out])
         assert code == EXIT_OK
-        doc = json.loads(open(out).read())
+        doc = json.loads(pathlib.Path(out).read_text())
         assert frobenius(read_choi(doc) - maximally_entangled_state(2)) < 1e-7
+
+    def test_low_rank_record_is_not_infeasible(self, tmp_path, capsys):
+        # exact means of a rank-2 qutrit channel, 2 probes: Newton cannot
+        # reach the face no single constraint pins, which is no proof that
+        # the record is infeasible
+        rng = np.random.default_rng([3, 2, 0])
+        truth = random_channel(3, 2, rng)
+        specs = probe_tomography(3, 2, rng)
+        means = simulate_means(truth, specs).targets
+        path = write_json(tmp_path, "low_rank.json", {"dimension": 3, "constraints": [
+            {"kind": "ancilla_free", "state": matrix_doc(spec.state),
+             "observable": matrix_doc(spec.observable), "mean": float(x), "label": spec.label}
+            for spec, x in zip(specs, means)]})
+        assert main(["estimate", path]) == EXIT_NO_CONVERGENCE
+        assert "did not converge" in capsys.readouterr().err
 
     def test_inline_prior(self, tmp_path, capsys):
         # an identity prior cannot support |0> -> |1>
@@ -209,7 +251,7 @@ class TestSolverBlock:
     """The problem file's 'solver' object sets grad_tol and max_iter."""
 
     def problem_with(self, tmp_path, solver):
-        doc = json.loads(open(f"{FIXTURES}/o1_mixed.json").read())
+        doc = json.loads(pathlib.Path(f"{FIXTURES}/o1_mixed.json").read_text())
         doc["solver"] = solver
         return write_json(tmp_path, "problem.json", doc)
 
@@ -237,7 +279,7 @@ class TestSimulate:
         assert main(["simulate", f"{FIXTURES}/channel_diag.json",
                      f"{FIXTURES}/design_ic.json", "-o", observed]) == EXIT_OK
         assert main(["estimate", observed, "-o", estimated]) == EXIT_OK
-        doc = json.loads(open(estimated).read())
+        doc = json.loads(pathlib.Path(estimated).read_text())
         truth = load_channel(f"{FIXTURES}/channel_diag.json")
         assert frobenius(read_choi(doc) - truth.matrix) < 1e-7
 
@@ -248,7 +290,7 @@ class TestSimulate:
             assert main(["simulate", f"{FIXTURES}/channel_diag.json",
                          f"{FIXTURES}/design_o3.json", "--shots", "500",
                          "--seed", "3", "-o", out]) == EXIT_OK
-        assert open(a).read() == open(b).read()
+        assert pathlib.Path(a).read_text() == pathlib.Path(b).read_text()
 
     def test_shot_means_differ_from_exact(self, tmp_path, capsys):
         exact = str(tmp_path / "exact.json")
@@ -258,8 +300,8 @@ class TestSimulate:
         main(["simulate", f"{FIXTURES}/channel_diag.json",
               f"{FIXTURES}/design_o3.json", "--shots", "101", "--seed", "1",
               "-o", noisy])
-        m_exact = [c["mean"] for c in json.loads(open(exact).read())["constraints"]]
-        m_noisy = [c["mean"] for c in json.loads(open(noisy).read())["constraints"]]
+        m_exact = [c["mean"] for c in json.loads(pathlib.Path(exact).read_text())["constraints"]]
+        m_noisy = [c["mean"] for c in json.loads(pathlib.Path(noisy).read_text())["constraints"]]
         assert m_exact != m_noisy
         assert all(abs(m) <= 1.0 for m in m_noisy)
 
@@ -325,8 +367,8 @@ class TestNoLeastSquares:
         prior = PriorChannel(random_channel(2, 4, rng))
         assert solve_biased(obs, prior).residuals.max() < 1e-8
 
-        doc = json.loads(open(f"{FIXTURES}/v_zero_to_zero.json").read())
-        doc["prior"] = json.loads(open(f"{FIXTURES}/channel_mix_x.json").read())
+        doc = json.loads(pathlib.Path(f"{FIXTURES}/v_zero_to_zero.json").read_text())
+        doc["prior"] = json.loads(pathlib.Path(f"{FIXTURES}/channel_mix_x.json").read_text())
         problem = write_json(tmp_path, "with_prior.json", doc)
         assert main(["check", problem]) == EXIT_OK
         assert "ok   prior-support" in capsys.readouterr().out

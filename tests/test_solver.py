@@ -17,7 +17,7 @@ from procmaxent import (
     choi_from_apply,
     dual_eval,
     dual_hessian,
-    expectation,
+    is_cptp,
     random_channel,
     reduce_ancilla_free,
     simulate_means,
@@ -33,10 +33,10 @@ from procmaxent.linalg import (
     bloch_to_density,
     dag,
     frobenius,
-    hermitian_basis,
 )
 
 from conftest import (
+    probe_tomography,
     random_hermitian,
     random_state,
     random_unit_vector,
@@ -59,6 +59,12 @@ class TestSolverOptions:
             SolverOptions(grad_tol=0.0)
         with pytest.raises(ValueError):
             SolverOptions(max_iter=0)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite_grad_tol(self, value):
+        # an infinite tolerance would accept the starting point unsolved
+        with pytest.raises(ValueError, match="grad_tol"):
+            SolverOptions(grad_tol=value)
 
 
 class TestDualEval:
@@ -201,8 +207,8 @@ class TestSolveMaxent:
         X = np.kron(ID2, PAULI_Z)
         with pytest.raises(InfeasibleError) as exc:
             _solve_core(np.array([X, X]), np.array([0.2, 0.4]),
-                        ["a", "b"], np.zeros((4, 4), dtype=complex),
-                        SolverOptions())
+                        ["a", "b"], np.eye(4, dtype=complex),
+                        np.zeros((4, 4), dtype=complex), SolverOptions())
         assert exc.value.label == "b"
 
     def test_jointly_infeasible_targets(self):
@@ -260,6 +266,18 @@ class TestSolveMaxent:
         with pytest.raises(InfeasibleError):
             solve_maxent(obs)
 
+    def test_infeasible_by_weak_duality(self):
+        # Newton cannot converge on these means; its dual value falls below
+        # min eig(base) = 0, which no state meeting them allows
+        rho = bloch_to_density([0.0, 0.0, 1.0])
+        obs = ObservationLevel(d=2, constraints=(
+            Constraint(reduce_ancilla_free(rho, PAULI_X), 0.8, label="x"),
+            Constraint(reduce_ancilla_free(rho, PAULI_Z), 0.8, label="z"),
+        ))
+        with pytest.raises(InfeasibleError, match="dual value") as info:
+            solve_maxent(obs)
+        assert info.value.label is None
+
     def test_pure_output_sets_flag(self):
         # <X> = 0.6 and <Z> = 0.8 on input |0> force a pure output, which
         # no single constraint pins: the estimate is singular
@@ -285,28 +303,13 @@ class TestSolveMaxent:
         assert sol.multipliers[0] == pytest.approx(-np.arctanh(0.5), abs=1e-8)
 
 
-def _probe_tomography(d, probes, rng):
-    """Random pure probes, each followed by full output tomography in the
-    generalized Gell-Mann basis; d**2 probes are informationally complete."""
-    specs = []
-    for p in range(probes):
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        rho = np.outer(v, v.conj()) / np.vdot(v, v).real
-        specs += [
-            ProcessMeasurementSpec("ancilla_free", state=rho, observable=F,
-                                   label=f"p{p}:{k}")
-            for k, F in enumerate(hermitian_basis(d))
-        ]
-    return specs
-
-
 def _interior_biased_problem(d, probes, seed):
     """Full-Kraus-rank channel and prior, random pure probes each followed
     by full output tomography, exact means."""
     rng = np.random.default_rng(seed)
     truth = random_channel(d, d * d, rng)
     prior = PriorChannel(random_channel(d, d * d, rng))
-    return simulate_means(truth, _probe_tomography(d, probes, rng)), prior
+    return simulate_means(truth, probe_tomography(d, probes, rng)), prior
 
 
 class TestNewtonConvergence:
@@ -336,7 +339,7 @@ class TestDeterminedData:
     @staticmethod
     def check_complete_record(d, rank, rng):
         truth = random_channel(d, rank, rng)
-        obs = simulate_means(truth, _probe_tomography(d, d * d, rng))
+        obs = simulate_means(truth, probe_tomography(d, d * d, rng))
         sol = solve_maxent(obs)
         assert np.abs(sol.choi.matrix - truth.matrix).max() <= 1e-9
         assert sol.residuals.max() <= 1e-12
@@ -372,7 +375,7 @@ class TestDeterminedData:
                   for _ in range(2))
         prior = PriorChannel(ChoiState(d, 0.7 * U1.matrix + 0.3 * U2.matrix))
         truth = ChoiState(d, 0.3 * U1.matrix + 0.7 * U2.matrix)
-        sol = solve_biased(simulate_means(truth, _probe_tomography(d, 2, rng)), prior)
+        sol = solve_biased(simulate_means(truth, probe_tomography(d, 2, rng)), prior)
         assert np.abs(sol.choi.matrix - truth.matrix).max() <= 1e-9
         assert sol.iterations == 0 and sol.boundary_flag
 
@@ -384,6 +387,49 @@ class TestDeterminedData:
         with pytest.raises(InfeasibleError, match=r"eigenvalue -0\.5 ") as info:
             solve_maxent(obs)
         assert info.value.label is None
+
+
+class TestExactData:
+    """Exact means from any channel are feasible: the solve returns a
+    CPTP estimate that meets them, or raises ConvergenceError where Newton
+    cannot reach a face no single constraint pins, but never calls them
+    infeasible."""
+
+    @staticmethod
+    def check_exact_record(d, rank, probes, rng):
+        truth = random_channel(d, rank, rng)
+        obs = simulate_means(truth, probe_tomography(d, probes, rng))
+        try:
+            sol = solve_maxent(obs)
+        except ConvergenceError:
+            return
+        assert sol.residuals.max() <= 1e-8
+        report = is_cptp(sol.choi.matrix)
+        assert report.positive and report.trace_preserving
+
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_exact_data_are_never_infeasible(self, d, seed, data):
+        rank = data.draw(st.integers(1, d * d), label="rank")
+        probes = data.draw(st.integers(1, d * d), label="probes")
+        self.check_exact_record(d, rank, probes, np.random.default_rng(seed))
+
+    # Rank-2 channels with 2 probes; narrowing to the support of a Newton
+    # iterate that had not converged once called both records infeasible.
+    @pytest.mark.parametrize("seed", [[3, 2, 0], [4, 2, 0]])
+    def test_exact_data_regressions(self, seed):
+        d, rank, _ = seed
+        self.check_exact_record(d, rank, 2, np.random.default_rng(seed))
+
+    def test_biased_exact_data_in_prior_support(self):
+        # a pure channel inside a full-rank prior's support, 2 probes; the
+        # same narrowing once called this record infeasible
+        rng = np.random.default_rng([3, 1, 9, 2, 0, 1])
+        truth = random_channel(3, 1, rng)
+        prior = PriorChannel(random_channel(3, 9, rng))
+        obs = simulate_means(truth, probe_tomography(3, 2, rng))
+        with pytest.raises(ConvergenceError):
+            solve_biased(obs, prior)
 
 
 class TestPriorChannel:
