@@ -73,11 +73,18 @@ class ParseError(ProcMaxEntError, ValueError):
 
 # ---------------------------------------------------------------- parsing
 
+def _float_array(value, what):
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{what}: expected a rectangular array of numbers ({exc})") from exc
+
+
 def _matrix_from_json(obj, what="matrix"):
     if not isinstance(obj, dict) or "re" not in obj:
         raise ParseError(f"{what}: expected an object with 're' (and optional 'im')")
-    re_part = np.asarray(obj["re"], dtype=float)
-    im_part = np.asarray(obj.get("im", np.zeros_like(re_part)), dtype=float)
+    re_part = _float_array(obj["re"], f"{what} 're'")
+    im_part = _float_array(obj.get("im", np.zeros_like(re_part)), f"{what} 'im'")
     if re_part.shape != im_part.shape or re_part.ndim != 2:
         raise ParseError(f"{what}: 're' and 'im' must be equal-shape 2-d arrays")
     return re_part + 1j * im_part
@@ -99,7 +106,7 @@ def _pauli_string(s, nfactors):
 
 def _parse_state(obj, what="state"):
     if isinstance(obj, dict) and "bloch" in obj:
-        return bloch_to_density(np.asarray(obj["bloch"], dtype=float))
+        return bloch_to_density(_float_array(obj["bloch"], f"{what} 'bloch'"))
     if isinstance(obj, dict) and "re" in obj:
         return _matrix_from_json(obj, what)
     raise ParseError(f"{what}: expected {{'bloch': ...}} or a matrix object")
@@ -202,6 +209,8 @@ def load_problem(path):
     obs = ObservationLevel(d=d, constraints=cons)
     prior = None
     pdoc = doc.get("prior")
+    if pdoc is not None and not isinstance(pdoc, dict):
+        raise ParseError(f"{path}: 'prior' must be an object, not {type(pdoc).__name__}")
     if pdoc and pdoc.get("kind", "none") != "none":
         prior = PriorChannel(_channel_from_doc(pdoc, d))
     opts = _options_from_doc(doc.get("solver") or {})

@@ -18,6 +18,7 @@ import numpy as np
 from .channels import ChoiState
 from .errors import DependentConstraintsError, DimensionError, InvariantError
 from .linalg import (
+    DENSITY_EIG_TOL,
     check_density,
     check_hermitian,
     dag,
@@ -26,16 +27,23 @@ from .linalg import (
     kron,
 )
 
-INDEPENDENCE_TOL = 1e-10
+# Relative distance from the span of its predecessors at or below which
+# an operator is dependent on them.
+INDEPENDENCE_TOL = 1e-9
+# Relative distance from a product A (x) B, and between two input factors,
+# at or below which an operator is a product and two factors are equal.
+PRODUCT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class Constraint:
-    """A linear constraint Tr(omega X) = target on the Choi state."""
+    """A linear constraint Tr(omega X) = target on the Choi state; ends
+    holds the least and the largest eigenvalue of X."""
 
     operator: np.ndarray
     target: float
     label: str = ""
+    ends: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         op = check_hermitian(self.operator, name=f"constraint {self.label!r}")
@@ -47,6 +55,7 @@ class Constraint:
             )
         object.__setattr__(self, "operator", op)
         object.__setattr__(self, "target", float(self.target))
+        object.__setattr__(self, "ends", (float(w[0]), float(w[-1])))
 
 
 @functools.lru_cache(maxsize=None)
@@ -88,7 +97,7 @@ def _coordinate_index(dim):
     return index
 
 
-def span_report(ops, targets, tol=INDEPENDENCE_TOL):
+def span_report(ops, targets):
     """Split operators, in order, into those independent of their
     predecessors and those in their span, which the identity
     (normalization Tr = 1) always starts.
@@ -102,10 +111,10 @@ def span_report(ops, targets, tol=INDEPENDENCE_TOL):
     Hilbert-Schmidt product, gives |R_jj|, the distance of column j from
     the span of the columns before it (Golub and Van Loan, Matrix
     Computations, sec. 5.2); X_j is dependent when that distance is at
-    most tol * max(1, |X_j|).  Columns past the row count of R (more
-    operators than D**2) have distance 0.  At the first dependent column
-    p, R[:p, :p]^T c = (1/sqrt(D), targets kept so far) gives the implied
-    target R[:p, p] . c.  The columns after p whose distance from the
+    most INDEPENDENCE_TOL * max(1, |X_j|).  Columns past the row count of
+    R (more operators than D**2) have distance 0.  At the first dependent
+    column p, R[:p, :p]^T c = (1/sqrt(D), targets kept so far) gives the
+    implied target R[:p, p] . c.  The columns after p whose distance from the
     span of the columns before p, the norm of R[p:, j], is within
     tolerance are dependent as well, up to the first that is not; the
     factorization is then repeated on the kept columns followed by the
@@ -126,7 +135,7 @@ def span_report(ops, targets, tol=INDEPENDENCE_TOL):
     off = np.sqrt(2.0) * flat[:, upper]
     cols[1:, dim:dim + len(upper)] = off.real
     cols[1:, dim + len(upper):] = off.imag
-    thresh = tol * np.maximum(1.0, np.linalg.norm(cols[1:], axis=1))
+    thresh = INDEPENDENCE_TOL * np.maximum(1.0, np.linalg.norm(cols[1:], axis=1))
     rest = np.arange(n)
     while len(rest):
         order = np.concatenate(([0], np.asarray(keep, dtype=int) + 1, rest + 1))
@@ -154,6 +163,57 @@ def span_report(ops, targets, tol=INDEPENDENCE_TOL):
     return keep, dependent, implied
 
 
+def probe_groups(ops, d):
+    """The operators of the form A (x) B with A a state on the input
+    (positive, unit trace), grouped by equal A: a list of (A, index, B)
+    with index the positions of the group's operators in ops and B their
+    output factors, stacked.  For every Choi state omega, Tr(omega (A (x)
+    B)) = Tr(sigma B)/d with sigma = d Tr_1[omega (A (x) I)], the image of
+    the probe A, positive and of unit trace when omega is.
+
+    X = A (x) B exactly when its realignment T[(a b), (i j)] = X[(i a),
+    (j b)] = B_ab A_ij has rank one (Van Loan and Pitsianis, in Linear
+    Algebra for Large Scale and Real-Time Applications (1993)).  The row
+    a of T of largest norm is then proportional to vec A, and T is the
+    outer product of the coefficients c = T conj(a)/|a|^2 with a.  An
+    operator is a product when the rest T - c a^T is within PRODUCT_TOL
+    of the norm of T; scaled to unit trace, a is A and c is vec B.
+    """
+    n, D = len(ops), d * d
+    T = np.asarray(ops).reshape(n, d, d, d, d).transpose(0, 2, 4, 1, 3).reshape(n, D, D)
+    F = T.view(float)
+    square = np.einsum("nik,nik->ni", F, F)
+    top = square.argmax(axis=1)
+    a = T[np.arange(n), top]
+    peak = np.maximum(square[np.arange(n), top], np.finfo(float).tiny)
+    c = np.matmul(T, a.conj()[:, :, None]) / peak[:, None, None]
+    # T is a copy; the rank-one part is subtracted in place, a few
+    # operators at a time, so that no temporary is as large as T
+    for s in range(0, n, 16):
+        T[s:s + 16] -= c[s:s + 16] * a[s:s + 16, None, :]
+    rest = np.einsum("nk,nk->n", F.reshape(n, -1), F.reshape(n, -1))
+    trace = a[:, ::d + 1].sum(axis=1)
+    index = np.flatnonzero((np.abs(trace) ** 2 > PRODUCT_TOL ** 2 * peak)
+                           & (rest <= PRODUCT_TOL ** 2 * square.sum(axis=1)))
+    A = (a[index] / trace[index, None]).reshape(-1, d, d)
+    B = (c[index, :, 0] * trace[index, None]).reshape(-1, d, d)
+    flat = A.reshape(len(index), D).view(float)
+    groups, left = [], np.arange(len(index))
+    while len(left):
+        first = flat[left[0]]
+        same = np.abs(flat[left] - first).max(axis=1) <= PRODUCT_TOL * np.abs(first).max()
+        groups.append(left[same])
+        left = left[~same]
+    if not groups:
+        return groups
+    A = A[[g[0] for g in groups]]
+    A = 0.5 * (A + A.conj().transpose(0, 2, 1))
+    B = 0.5 * (B + B.conj().transpose(0, 2, 1))
+    least = np.linalg.eigvalsh(A)[:, 0]
+    return [(A[k], index[g], B[g]) for k, g in enumerate(groups)
+            if least[k] >= -DENSITY_EIG_TOL]
+
+
 @dataclass(frozen=True)
 class ObservationLevel:
     """A set of linear constraints on a Choi state of system dimension d.
@@ -165,9 +225,10 @@ class ObservationLevel:
     d: int
     constraints: tuple
     # built once: the operators of full_constraints() (stacked,
-    # read-only), their targets (read-only) and labels
+    # read-only), their targets and spectral ends (read-only) and labels
     operators: np.ndarray = field(init=False, repr=False, compare=False)
     targets: np.ndarray = field(init=False, repr=False, compare=False)
+    ends: np.ndarray = field(init=False, repr=False, compare=False)
     labels: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -185,11 +246,11 @@ class ObservationLevel:
         ops = np.array([c.operator for c in cons], dtype=complex).reshape(-1, D, D)
         ops = np.concatenate((ops, tp_ops))
         targets = np.array([c.target for c in full])
-        ops.setflags(write=False)
-        targets.setflags(write=False)
-        for name, value in (("operators", ops), ("targets", targets),
-                            ("labels", tuple(c.label for c in full))):
+        ends = np.array([c.ends for c in full]).reshape(-1, 2)
+        for name, value in (("operators", ops), ("targets", targets), ("ends", ends)):
+            value.setflags(write=False)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "labels", tuple(c.label for c in full))
         _, dep, _ = span_report(ops, targets)
         if dep:
             labels = [full[j].label for j in dep]

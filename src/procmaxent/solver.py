@@ -35,11 +35,17 @@ that face before it finishes (facial reduction; Borwein and Wolkowicz,
 J. Austral. Math. Soc. 30 (1981)), but only to a face the data prove
 holds every feasible state (Drusvyatskiy and Wolkowicz, The many faces
 of degeneracy in conic optimization (2017)): the eigenspace to which a
-target at an end of its operator's spectrum pins the state, or the
-support of a state the constraints determine.  Each restriction is
-followed by pruning on the face, where jointly infeasible targets show
-up as inconsistent dependent targets or as a target outside its
-restricted operator's spectrum.
+target at an end of its operator's spectrum pins the state, the
+support of a state the constraints determine, or the face that a
+probe's determined output proves.  A probe rho whose measured
+observables and the identity span the Hermitian operators on the output
+fixes its output sigma = E(rho); if sigma is singular, the positive
+operator rho^T (x) P, P the projector on ker sigma, has zero mean on
+every feasible Choi state, whose support therefore lies in its kernel
+(partial facial reduction; Permenter and Parrilo, Math. Program. 171
+(2018)).  Each restriction is followed by pruning on the face, where
+jointly infeasible targets show up as inconsistent dependent targets
+or as a target outside its restricted operator's spectrum.
 
 A Newton run that does not converge on its frame ends the solve.  Weak
 duality decides what it means: every state omega on the frame that
@@ -65,8 +71,8 @@ from .errors import (
     InfeasibleError,
     InvariantError,
 )
-from .linalg import DENSITY_EIG_TOL, SUPPORT_TOL, dag
-from .observations import ObservationLevel, span_report
+from .linalg import DENSITY_EIG_TOL, SUPPORT_TOL, dag, kron
+from .observations import ObservationLevel, probe_groups, span_report
 
 # Armijo sufficient-decrease constant, backtracking factor and limit.
 _ARMIJO_C = 1e-4
@@ -75,7 +81,7 @@ _MAX_BACKTRACKS = 60
 # Gibbs weight below which an eigenvector of the state is off its face.
 _FACE_TOL = 1e-7
 # Largest multiplier magnitude before Newton stops as divergent.
-_MULTIPLIER_CAP = 1000.0
+_MULTIPLIER_CAP = 1e5
 # Relative distance of a target from its operator's spectral end that pins it.
 _BOUNDARY_TOL = 1e-9
 # Relative tolerance to which a target must be met, as pruning checks it.
@@ -269,7 +275,7 @@ def prune_constraints(ops, targets, labels):
     A dependent constraint whose stated target disagrees with the target
     its predecessors imply makes the problem infeasible.
     """
-    keep, dependent, implied = span_report(ops, targets, tol=1e-9)
+    keep, dependent, implied = span_report(ops, targets)
     for j, x in zip(dependent, implied):
         if abs(x - targets[j]) > _TARGET_TOL * max(1.0, abs(targets[j])):
             raise InfeasibleError(
@@ -280,12 +286,15 @@ def prune_constraints(ops, targets, labels):
     return keep
 
 
-def _pinned_face(ops, targets, labels):
+def _pinned_face(ops, targets, labels, ends=None):
     """Eigenspace to which the first constraint with its target at an end
     of its spectrum pins the state, or None.  One batched eigvalsh finds
-    the pinned constraints; a target outside the spectrum is infeasible."""
-    w = np.linalg.eigvalsh(ops)
-    lo, hi = w[:, 0], w[:, -1]
+    the pinned constraints, unless ends gives each operator's least and
+    largest eigenvalue; a target outside the spectrum is infeasible."""
+    if ends is None:
+        w = np.linalg.eigvalsh(ops)
+        ends = np.column_stack((w[:, 0], w[:, -1]))
+    lo, hi = ends[:, 0], ends[:, -1]
     scale = np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     tol = _BOUNDARY_TOL * scale
     outside = np.flatnonzero((targets > hi + tol) | (targets < lo - tol))
@@ -319,24 +328,63 @@ class _CoreSolution(NamedTuple):
 def _fit_state(ops, targets, U, r):
     """The Hermitian sigma = U X U^dag with X zero past its first r rows
     and columns that best meets Tr sigma = 1 and Tr(sigma X_j) = x_j in
-    the least-squares sense.
+    the least-squares sense; ops (..., m, k, k) and targets (..., m) may
+    stack several such problems, which share U and r.  U None stands for
+    the identity.
 
     For Hermitian Y, Tr(X Y) = conj(vec Y) . vec X, so the free entries
     of X solve a linear system with one row per constraint.  The R factor
     of one Householder QR of [rows, (1, x)] gives them by a triangular
     solve.
     """
-    k = len(U)
-    Y = np.concatenate((np.eye(k, dtype=complex)[None], dag(U) @ ops @ U))
+    k = ops.shape[-1]
+    lead = ops.shape[:-3]
+    eye = np.broadcast_to(np.eye(k, dtype=complex), lead + (1, k, k))
+    Y = np.concatenate((eye, ops if U is None else dag(U) @ ops @ U), axis=-3)
     free = np.ones((k, k), dtype=bool)
     free[r:, r:] = False
-    A = Y.reshape(len(Y), -1)[:, free.reshape(-1)].conj()
-    m = A.shape[1]
-    R = np.linalg.qr(np.column_stack((A, np.concatenate(([1.0], targets)))), mode="r")
-    X = np.zeros((k, k), dtype=complex)
-    X[free] = np.linalg.solve(R[:m, :m], R[:m, m])
-    sigma = U @ X @ dag(U)
-    return 0.5 * (sigma + dag(sigma))
+    A = Y.reshape(Y.shape[:-2] + (k * k,))[..., free.reshape(-1)].conj()
+    m = A.shape[-1]
+    b = np.concatenate((np.ones(lead + (1,)), targets), axis=-1)
+    R = np.linalg.qr(np.concatenate((A, b[..., None]), axis=-1), mode="r")
+    X = np.zeros(lead + (k, k), dtype=complex)
+    X[..., free] = np.linalg.solve(R[..., :m, :m], R[..., :m, m:])[..., 0]
+    sigma = X if U is None else U @ X @ dag(U)
+    return 0.5 * (sigma + sigma.conj().swapaxes(-1, -2))
+
+
+def _determined_images(ops, targets, what):
+    """The states sigma_g, stacked along the first axis, with Tr sigma_g
+    = 1 and Tr(sigma_g X_gj) = x_gj when the identity and the operators
+    X_gj span the Hermitian operators on C^k, as (sigma, w, V, supports):
+    ascending eigenvalues w and eigenvectors V of each sigma_g, and the
+    support of each singular sigma_g (None where sigma_g has full rank).
+    One batched solve and one batched eigh serve every g; a state with an
+    eigenvalue below -DENSITY_EIG_TOL is infeasible.
+
+    sigma_g meets every X_gj in the least-squares sense, not only an
+    independent subset: on a face the kept operators alone can be
+    ill-conditioned, and meeting only them leaves the others with
+    residuals far above round-off.  The support of a singular sigma_g is
+    off by its error over the spectral gap, and a state on that support
+    misses the targets by as much; a second fit that holds sigma_g's
+    block on its kernel at zero aligns the support to second order.
+    """
+    k = ops.shape[-1]
+    sigma = _fit_state(ops, targets, None, k)
+    w, V = np.linalg.eigh(sigma)
+    if w[:, 0].min() < -DENSITY_EIG_TOL:
+        raise InfeasibleError(
+            f"the constraints determine {what} with eigenvalue {w[:, 0].min():.12g} < 0: "
+            f"no channel meets them"
+        )
+    rank = np.count_nonzero(w > SUPPORT_TOL * w[:, -1:], axis=1)
+    supports = [None] * len(w)
+    for g in np.flatnonzero(rank < k):
+        # eigh orders eigenvalues ascending; the support goes first
+        refit = _fit_state(ops[g], targets[g], V[g, :, ::-1], rank[g])
+        supports[g] = np.linalg.eigh(refit)[1][:, k - rank[g]:]
+    return sigma, w, V, supports
 
 
 def _determined_state(ops, targets, keep, base):
@@ -345,69 +393,119 @@ def _determined_state(ops, targets, keep, base):
     Hermitian operators on C^k, as (face, sigma, w, coef): the support of
     sigma when it is singular (the rest None), else None, sigma, its
     ascending eigenvalues w and the coefficients coef = (ln Z, lam_kept)
-    of base - log sigma = ln Z I + sum_kept lam_j X_j.
-
-    sigma meets every constraint, not only the kept ones, in the
-    least-squares sense: on a face the kept operators alone can be
-    ill-conditioned, and meeting only them leaves the others with
-    residuals far above round-off.  The support of a singular sigma is
-    off by its error over the spectral gap, and a state on that support
-    misses the targets by as much; a second fit that holds sigma's block
-    on its kernel at zero aligns the support to second order.  A state
-    with an eigenvalue below -DENSITY_EIG_TOL is infeasible.
+    of base - log sigma = ln Z I + sum_kept lam_j X_j.  sigma is fitted
+    to every constraint by _determined_images.
     """
     k = base.shape[0]
-    sigma = _fit_state(ops, targets, np.eye(k), k)
-    w, V = np.linalg.eigh(sigma)
-    if w[0] < -DENSITY_EIG_TOL:
-        raise InfeasibleError(
-            f"the constraints determine a state with eigenvalue {w[0]:.12g} < 0 "
-            f"on the face: no channel meets them"
-        )
-    r = int(np.count_nonzero(w > SUPPORT_TOL * w[-1]))
-    if r < k:
-        # eigh orders eigenvalues ascending; the support goes first
-        sigma = _fit_state(ops, targets, V[:, ::-1], r)
-        return np.linalg.eigh(sigma)[1][:, k - r:], None, None, None
+    sigma, w, V, (face,) = _determined_images(ops[None], targets[None],
+                                              "a state on the face")
+    if face is not None:
+        return face, None, None, None
+    sigma, w, V = sigma[0], w[0], V[0]
     M = np.concatenate((np.eye(k, dtype=complex)[None], ops[keep])).reshape(k * k, k * k)
     B = base - (V * np.log(w)) @ dag(V)
     return None, sigma, w, np.linalg.solve(M.T, B.reshape(-1)).real
 
 
-def _solve_core(ops, targets, labels, frame, base, opts):
+def _probe_face(ops, targets, W, d):
+    """The face of the frame W that the probes' determined outputs prove,
+    or None when it is all of W.
+
+    ops are the constraint operators on the whole space, d the dimension
+    of a channel whose Choi states omega have Tr_2 omega = I/d.  For a
+    probe A (observations.probe_groups) with d**2 - 1 operators A (x)
+    B_j, the identity and the B_j span the Hermitian operators on the
+    output, so the record determines the probe's image sigma, Tr sigma =
+    1 and Tr(sigma B_j/d) = x_j, by _determined_images.  If sigma is
+    singular, Y = A (x) P, with P the projector on its kernel, is
+    positive and Tr(omega Y) = Tr(sigma P)/d = 0 for every feasible
+    omega, which therefore lives on ker Y; the face is the kernel of the
+    sum of these Y compressed to W (partial facial reduction; Permenter
+    and Parrilo, Math. Program. 171 (2018)).  Y is computed from the data
+    to round-off, so the face holds every feasible state.
+    """
+    groups = [g for g in probe_groups(ops, d) if len(g[1]) == d * d - 1]
+    if not groups:
+        return None
+    rows = np.array([B / d for _, _, B in groups])
+    x = np.array([targets[index] for _, index, _ in groups])
+    supports = _determined_images(rows, x, "the output of a probe")[3]
+    singular = [(A, S) for (A, _, _), S in zip(groups, supports) if S is not None]
+    if not singular:
+        return None
+    # Y = G G^dag with G = sqrt(A) (x) P.  The face is the null space of
+    # G^dag W, which an SVD of G^dag W finds without squaring its
+    # condition number, as an eigendecomposition of W^dag Y W would.
+    wa, Va = np.linalg.eigh(np.array([A for A, _ in singular]))
+    wa[wa <= SUPPORT_TOL * wa[:, -1:]] = 0.0
+    roots = Va * np.sqrt(wa)[:, None, :]
+    G = np.concatenate([kron(root, np.eye(d) - S @ dag(S))
+                        for root, (_, S) in zip(roots, singular)], axis=1)
+    _, sv, Vh = np.linalg.svd(dag(G) @ W)
+    rank = int(np.count_nonzero(sv > _BOUNDARY_TOL * max(1.0, sv[0])))
+    if rank == W.shape[1]:
+        raise InfeasibleError(
+            "the outputs the constraints determine for their probes leave no "
+            "state: no channel meets them"
+        )
+    return dag(Vh[rank:]) if rank else None
+
+
+def _solve_core(ops, targets, labels, frame, base, opts, d=None, ends=None):
     """Solve min_lam ln Tr exp(base - sum lam_j X_j) + lam . x on the
     smallest proved face of the state space that holds every feasible
     state.
 
-    The solve starts on the span of frame (orthonormal columns); ops and
-    base are given on that span, as frame^dag X_j frame, and the returned
-    state acts on the space of frame's rows.  Each pass prunes the
-    problem on the frame W and narrows W to a face the data prove: the
-    eigenspace a pinned target selects, or the support of the state the
-    constraints determine.  A pass whose kept constraints and the
-    identity span the Hermitian operators on the frame is determined and
-    is solved by _determined_state, without Newton; every other pass runs
+    ops act on the whole space.  The solve starts on the span of frame
+    (orthonormal columns; None for the whole space), on which base is
+    given, and the returned state acts on the whole space.  Each pass
+    prunes the problem on the frame W and narrows W to a face the data
+    prove: the eigenspace a pinned target selects, the support of the
+    state the constraints determine, or, once per solve, the face the
+    determined outputs of the probes prove (_probe_face; only when d, the
+    channel dimension of a record with trace-preservation constraints,
+    is given).  A pass whose kept constraints and the identity span the
+    Hermitian operators on the frame is determined and is solved by
+    _determined_state, without Newton; the probe faces are sought on the
+    first pass that would otherwise run Newton, and every other pass runs
     Newton.  A constraint pinned on the whole frame equals x I there,
     which pruning removes, so each face is proper and the loop ends
     within dim passes.
+
+    ends, the least and largest eigenvalue of each operator, says that
+    the operators on the whole space are independent (an ObservationLevel
+    has checked them).  A frame that spans the whole space changes the
+    basis only, which keeps both, and the first pass on it then neither
+    prunes nor takes the spectra again.
 
     A Newton run that does not converge ends the solve: _refuse raises
     InfeasibleError when weak duality proves the data infeasible, else
     ConvergenceError.
     """
-    n, dim = len(targets), frame.shape[0]
-    W, f_ops, f_base = frame, ops, base
+    n, dim = len(targets), ops.shape[-1]
+    if frame is None:
+        W, f_ops = np.eye(dim, dtype=complex), ops
+    else:
+        W, f_ops = frame, dag(frame) @ ops @ frame
+    if W.shape[1] < dim:
+        ends = None
+    f_base = base
     iterations = 0
+    searched = d is None
     while True:
-        keep = prune_constraints(f_ops, targets, labels)
+        keep = list(range(n)) if ends is not None else prune_constraints(f_ops, targets, labels)
         kept_ops, kept_targets = f_ops[keep], targets[keep]
-        face = _pinned_face(kept_ops, kept_targets, [labels[j] for j in keep])
+        face = _pinned_face(kept_ops, kept_targets, [labels[j] for j in keep], ends)
+        ends = None
         if face is None and len(keep) == W.shape[1] ** 2 - 1:
             face, sigma, w, coef = _determined_state(f_ops, targets, keep, f_base)
             if face is None:
                 lam_kept, ln_z, least = coef[1:], coef[0], w[0]
                 break
-        elif face is None:
+        if face is None and not searched:
+            searched = True
+            face = _probe_face(ops, targets, W, d)
+        if face is None:
             res = _newton(kept_ops, kept_targets, f_base, opts)
             iterations += res.iterations
             if not res.converged:
@@ -482,8 +580,9 @@ def solve_maxent(obs: ObservationLevel, opts: SolverOptions | None = None):
     constraints; among all such states it has maximal entropy.
     """
     opts = opts or SolverOptions()
-    I = np.eye(obs.d ** 2, dtype=complex)
-    core = _solve_core(obs.operators, obs.targets, obs.labels, I, 0 * I, opts)
+    base = np.zeros((obs.d ** 2, obs.d ** 2), dtype=complex)
+    core = _solve_core(obs.operators, obs.targets, obs.labels, None, base, opts,
+                       d=obs.d, ends=obs.ends)
     return _package(obs, core, opts)
 
 
@@ -500,9 +599,8 @@ def solve_biased(obs: ObservationLevel, prior: PriorChannel,
     opts = opts or SolverOptions()
     if prior.choi.d != obs.d:
         raise InvariantError("prior channel dimension does not match observation")
-    V0 = prior.frame
-    core = _solve_core(dag(V0) @ obs.operators @ V0, obs.targets, obs.labels,
-                       V0, prior.base, opts)
+    core = _solve_core(obs.operators, obs.targets, obs.labels, prior.frame,
+                       prior.base, opts, d=obs.d, ends=obs.ends)
     return _package(obs, core, opts)
 
 
@@ -532,6 +630,5 @@ def solve_state_maxent(constraints, dim, opts: SolverOptions | None = None):
     ops = np.array([c.operator for c in constraints]).reshape(-1, dim, dim)
     targets = np.array([c.target for c in constraints])
     labels = [c.label for c in constraints]
-    I = np.eye(dim, dtype=complex)
-    core = _solve_core(ops, targets, labels, I, 0 * I, opts)
+    core = _solve_core(ops, targets, labels, None, np.zeros((dim, dim), dtype=complex), opts)
     return core.sigma, core.lam

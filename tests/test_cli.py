@@ -11,6 +11,7 @@ from procmaxent import (
     ChoiState,
     PriorChannel,
     ProcessMeasurementSpec,
+    is_cptp,
     maximally_entangled_state,
     random_channel,
     reduce_ancilla_assisted,
@@ -169,6 +170,22 @@ class TestParsing:
         assert main(["estimate", path]) == EXIT_PARSE
         assert "'constraints' must be a list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where, value", [("bloch", "abc"), ("re", [[1, 0], [0]]),
+                                              ("prior", 5)])
+    def test_malformed_array_or_prior_exit_code(self, tmp_path, capsys, where, value):
+        entry = {"kind": "ancilla_free", "observable": "Z", "mean": 0.5,
+                 "state": {"bloch": [0.0, 0.0, 0.0]}}
+        doc = {"dimension": 2, "constraints": [entry]}
+        if where == "prior":
+            doc["prior"] = value
+        else:
+            entry["state"] = {where: value}
+        path = write_json(tmp_path, "problem.json", doc)
+        assert main(["estimate", path]) == EXIT_PARSE
+        assert f"'{where}'" in capsys.readouterr().err
+        with pytest.raises(ParseError):
+            load_problem(path)
+
     def test_unreadable_file_exit_code(self, capsys):
         assert main(["estimate", "/nonexistent/problem.json"]) == EXIT_PARSE
 
@@ -226,10 +243,10 @@ class TestEstimate:
         doc = json.loads(pathlib.Path(out).read_text())
         assert frobenius(read_choi(doc) - maximally_entangled_state(2)) < 1e-7
 
-    def test_low_rank_record_is_not_infeasible(self, tmp_path, capsys):
-        # exact means of a rank-2 qutrit channel, 2 probes: Newton cannot
-        # reach the face no single constraint pins, which is no proof that
-        # the record is infeasible
+    def test_low_rank_record_is_not_infeasible(self, tmp_path):
+        # exact means of a rank-2 qutrit channel, 2 probes: no single
+        # constraint pins the face, but each probe's determined output is
+        # singular, and the estimate is solved on the face that proves
         rng = np.random.default_rng([3, 2, 0])
         truth = random_channel(3, 2, rng)
         specs = probe_tomography(3, 2, rng)
@@ -238,8 +255,13 @@ class TestEstimate:
             {"kind": "ancilla_free", "state": matrix_doc(spec.state),
              "observable": matrix_doc(spec.observable), "mean": float(x), "label": spec.label}
             for spec, x in zip(specs, means)]})
-        assert main(["estimate", path]) == EXIT_NO_CONVERGENCE
-        assert "did not converge" in capsys.readouterr().err
+        out = str(tmp_path / "out.json")
+        assert main(["estimate", path, "-o", out]) == EXIT_OK
+        doc = json.loads(pathlib.Path(out).read_text())
+        assert max(r["value"] for r in doc["residuals"]) <= 1e-8
+        report = is_cptp(read_choi(doc))
+        assert report.positive and report.trace_preserving
+        assert doc["diagnostics"]["boundary_flag"]
 
     def test_inline_prior(self, tmp_path, capsys):
         # an identity prior cannot support |0> -> |1>

@@ -21,6 +21,7 @@ from procmaxent import (
     tp_constraints,
 )
 from procmaxent.channels import ChoiState
+from procmaxent.observations import probe_groups
 from procmaxent.linalg import ID2, PAULI_X, PAULI_Z, dag, hermitian_basis, partial_trace
 
 from conftest import random_hermitian, random_state
@@ -121,10 +122,44 @@ class TestObservationLevel:
         with pytest.raises(DependentConstraintsError):
             ObservationLevel(d=2, constraints=(c,))
 
+    def test_spectral_ends(self, rng):
+        Xs = [np.kron(random_state(2, rng), random_hermitian(2, rng)) for _ in range(3)]
+        cons = tuple(Constraint(X, np.trace(X).real / 4, label=f"c{j}") for j, X in enumerate(Xs))
+        obs = ObservationLevel(d=2, constraints=cons)
+        w = np.linalg.eigvalsh(obs.operators)
+        assert np.allclose(obs.ends, w[:, [0, -1]], rtol=0, atol=1e-12)
+        assert cons[0].ends == tuple(obs.ends[0])
+        with pytest.raises(ValueError):
+            obs.ends[0, 0] = 0.0
+
     def test_wrong_operator_dimension(self):
         c = Constraint(PAULI_Z, 0.0, label="small")
         with pytest.raises(DimensionError):
             ObservationLevel(d=2, constraints=(c,))
+
+
+class TestProbeGroups:
+    def test_groups_ancilla_free_operators_by_probe(self, rng):
+        # two probes with three observables each, one entangled assisted
+        # measurement (no product) and the TP operators (traceless input)
+        d = 2
+        rhos = [random_state(d, rng) for _ in range(2)]
+        Fs = [random_hermitian(d, rng) for _ in range(3)]
+        ops = [reduce_ancilla_free(rho, F) for rho in rhos for F in Fs]
+        ops.append(reduce_ancilla_assisted(maximally_entangled_state(d),
+                                           random_hermitian(d * d, rng), d))
+        ops += [c.operator for c in tp_constraints(d)]
+        groups = probe_groups(np.array(ops), d)
+        assert [g[1].tolist() for g in groups] == [[0, 1, 2], [3, 4, 5]]
+        for (A, index, B), rho in zip(groups, rhos):
+            assert np.abs(A - rho.T).max() < 1e-12
+            for j, Bj in zip(index, B):
+                assert np.abs(np.kron(A, Bj) - ops[j]).max() < 1e-12
+
+    def test_input_factor_must_be_positive(self):
+        # diag(2, -1) has unit trace but is no state
+        X = np.kron(np.diag([2.0, -1.0]), PAULI_Z)
+        assert probe_groups(np.array([X]), 2) == []
 
 
 class TestSpanReport:

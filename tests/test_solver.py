@@ -392,16 +392,18 @@ class TestDeterminedData:
 class TestExactData:
     """Exact means from any channel are feasible: the solve returns a
     CPTP estimate that meets them, or raises ConvergenceError where Newton
-    cannot reach a face no single constraint pins, but never calls them
-    infeasible."""
+    cannot reach a face that neither a single constraint nor a probe's
+    determined output proves, but never calls them infeasible."""
 
     @staticmethod
-    def check_exact_record(d, rank, probes, rng):
+    def check_exact_record(d, rank, probes, rng, must_converge=False):
         truth = random_channel(d, rank, rng)
         obs = simulate_means(truth, probe_tomography(d, probes, rng))
         try:
             sol = solve_maxent(obs)
         except ConvergenceError:
+            if must_converge:
+                raise
             return
         assert sol.residuals.max() <= 1e-8
         report = is_cptp(sol.choi.matrix)
@@ -415,11 +417,38 @@ class TestExactData:
         self.check_exact_record(d, rank, probes, np.random.default_rng(seed))
 
     # Rank-2 channels with 2 probes; narrowing to the support of a Newton
-    # iterate that had not converged once called both records infeasible.
+    # iterate that had not converged once called both records infeasible,
+    # and Newton alone stopped at the multiplier cap on both.
     @pytest.mark.parametrize("seed", [[3, 2, 0], [4, 2, 0]])
     def test_exact_data_regressions(self, seed):
         d, rank, _ = seed
-        self.check_exact_record(d, rank, 2, np.random.default_rng(seed))
+        self.check_exact_record(d, rank, 2, np.random.default_rng(seed), must_converge=True)
+
+    # (d, rank, probes, seed) draws on which Newton alone stopped at the
+    # multiplier cap: every probe's output is singular, and the estimate
+    # lies on the face their kernels prove.
+    @pytest.mark.parametrize("d, rank, probes, seed", [
+        (3, 2, 2, 0), (4, 2, 2, 0), (4, 3, 3, 0), (4, 3, 5, 1)])
+    def test_probe_face_draws_converge(self, d, rank, probes, seed):
+        rng = np.random.default_rng([d, rank, probes, seed, 0])
+        self.check_exact_record(d, rank, probes, rng, must_converge=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_probe_face_holds_the_channel(self, d, seed, data):
+        # with Kraus rank below d every pure probe's output is singular:
+        # the face the record proves holds the true Choi state's support
+        from procmaxent.solver import _probe_face
+
+        rank = data.draw(st.integers(1, d - 1), label="rank")
+        probes = data.draw(st.integers(1, d * d - 1), label="probes")
+        rng = np.random.default_rng(seed)
+        truth = random_channel(d, rank, rng)
+        obs = simulate_means(truth, probe_tomography(d, probes, rng))
+        face = _probe_face(obs.operators, obs.targets, np.eye(d * d), d)
+        assert face is not None and face.shape[1] < d * d
+        omega = truth.matrix
+        assert np.abs(omega - face @ (dag(face) @ omega)).max() <= 1e-12
 
     def test_biased_exact_data_in_prior_support(self):
         # a pure channel inside a full-rank prior's support, 2 probes; the
