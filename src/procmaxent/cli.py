@@ -201,7 +201,7 @@ def _load_specs(path, require_mean):
 
 
 def load_problem(path):
-    """Parse a problem file into (ObservationLevel, prior, options, seed)."""
+    """Parse a problem file into (ObservationLevel, prior, options)."""
     d, specs, doc = _load_specs(path, require_mean=True)
     cons = tuple(
         Constraint(spec.reduce(d), spec.mean, label=spec.label) for spec in specs
@@ -214,7 +214,7 @@ def load_problem(path):
     if pdoc and pdoc.get("kind", "none") != "none":
         prior = PriorChannel(_channel_from_doc(pdoc, d))
     opts = _options_from_doc(doc.get("solver") or {})
-    return obs, prior, opts, doc.get("seed")
+    return obs, prior, opts
 
 
 def _options_from_doc(sdoc):
@@ -301,7 +301,7 @@ def result_document(solution, d):
 # ---------------------------------------------------------------- commands
 
 def cmd_estimate(args):
-    obs, prior, opts, _ = load_problem(args.problem)
+    obs, prior, opts = load_problem(args.problem)
     if args.biased:
         prior = PriorChannel(load_channel(args.biased))
     if prior is not None:
@@ -359,7 +359,7 @@ def cmd_entropy(args):
 
 
 def cmd_check(args):
-    obs, prior, _, _ = load_problem(args.problem)
+    obs, prior, _ = load_problem(args.problem)
     for name in ("parse", "dimensions", "independence", "spectral-range"):
         print(f"ok   {name}")
     if prior is not None:

@@ -120,12 +120,18 @@ def matrix_log(rho):
     return 0.5 * (L + dag(L)), 0.5 * (P + dag(P))
 
 
+def spectrum_entropy(w):
+    """Entropy in bits of a state with eigenvalues w, with 0 log 0 := 0:
+    eigenvalues at or below SUPPORT_TOL times the largest are outside the
+    support."""
+    w = np.asarray(w, dtype=float)
+    p = w[w > SUPPORT_TOL * w.max(initial=0.0)]
+    return float(-np.sum(p * np.log2(p)))
+
+
 def von_neumann_entropy(rho):
     """Von Neumann entropy in bits, with 0 log 0 := 0."""
-    rho = check_density(rho)
-    w = np.linalg.eigvalsh(rho)
-    p = w[w > SUPPORT_TOL * max(w[-1], 0.0)]
-    return float(-np.sum(p * np.log2(p)))
+    return spectrum_entropy(np.linalg.eigvalsh(check_density(rho)))
 
 
 def partial_trace(M, dims, subsystem):

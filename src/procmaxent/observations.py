@@ -21,7 +21,6 @@ from .linalg import (
     DENSITY_EIG_TOL,
     check_density,
     check_hermitian,
-    dag,
     expectation,
     hermitian_basis,
     kron,
@@ -187,10 +186,7 @@ def probe_groups(ops, d):
     a = T[np.arange(n), top]
     peak = np.maximum(square[np.arange(n), top], np.finfo(float).tiny)
     c = np.matmul(T, a.conj()[:, :, None]) / peak[:, None, None]
-    # T is a copy; the rank-one part is subtracted in place, a few
-    # operators at a time, so that no temporary is as large as T
-    for s in range(0, n, 16):
-        T[s:s + 16] -= c[s:s + 16] * a[s:s + 16, None, :]
+    T -= c * a[:, None, :]     # T is a copy of the operators
     rest = np.einsum("nk,nk->n", F.reshape(n, -1), F.reshape(n, -1))
     trace = a[:, ::d + 1].sum(axis=1)
     index = np.flatnonzero((np.abs(trace) ** 2 > PRODUCT_TOL ** 2 * peak)
@@ -292,15 +288,10 @@ class ProcessMeasurementSpec:
 
 
 def reduce_ancilla_free(rho, F):
-    """Constraint operator d rho^T (x) F for an ancilla-free measurement."""
+    """Constraint operator d rho^T (x) F for an ancilla-free measurement:
+    the ancilla-assisted one with a one-dimensional ancilla."""
     rho = check_density(rho, name="test state")
-    F = check_hermitian(F, name="observable")
-    if rho.shape != F.shape:
-        raise DimensionError(
-            f"test state {rho.shape} and observable {F.shape} differ in dimension"
-        )
-    d = rho.shape[0]
-    return d * kron(rho.T, F)
+    return _reduce(rho, F, rho.shape[0])
 
 
 def reduce_ancilla_assisted(Omega, F, d):
@@ -315,17 +306,22 @@ def reduce_ancilla_assisted(Omega, F, d):
 
         X[(k y), (j x)] = d sum_ab Omega[(a j), (b k)] F[(b y), (a x)].
     """
-    Omega = check_density(Omega, name="test state")
+    return _reduce(check_density(Omega, name="test state"), F, d)
+
+
+def _reduce(Omega, F, d):
+    """reduce_ancilla_assisted for a validated test state Omega."""
     F = check_hermitian(F, name="observable")
     if Omega.shape != F.shape:
-        raise DimensionError("test state and observable differ in dimension")
+        raise DimensionError(
+            f"test state {Omega.shape} and observable {F.shape} differ in dimension"
+        )
     Dd = Omega.shape[0]
     if Dd % d != 0:
         raise DimensionError(f"dimension {Dd} does not factor as D*{d}")
     D = Dd // d
-    X = d * np.einsum("ajbk,byax->kyjx", Omega.reshape(D, d, D, d),
-                      F.reshape(D, d, D, d)).reshape(d * d, d * d)
-    return 0.5 * (X + dag(X))
+    return d * np.einsum("ajbk,byax->kyjx", Omega.reshape(D, d, D, d),
+                         F.reshape(D, d, D, d)).reshape(d * d, d * d)
 
 
 def simulate_means(choi, specs):

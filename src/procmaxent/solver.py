@@ -47,12 +47,11 @@ every feasible Choi state, whose support therefore lies in its kernel
 jointly infeasible targets show up as inconsistent dependent targets
 or as a target outside its restricted operator's spectrum.
 
-A Newton run that does not converge on its frame ends the solve.  Weak
-duality decides what it means: every state omega on the frame that
-meets the targets has D(lam) >= S(omega) + Tr(omega base) >= min
-eig(base) (Gibbs variational principle), so a dual value below that
-bound proves the data infeasible.  Any other stall is a
-ConvergenceError.
+Newton decides its own outcome (_newton): it converges when the dual
+gradient's max-norm is at most grad_tol, and a run that stops first ends
+the solve, with InfeasibleError when weak duality proves the data
+infeasible, else ConvergenceError.  An estimate is accepted once, when
+it meets every constraint, trace preservation included, to 10 grad_tol.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ from .errors import (
     InfeasibleError,
     InvariantError,
 )
-from .linalg import DENSITY_EIG_TOL, SUPPORT_TOL, dag, kron
+from .linalg import DENSITY_EIG_TOL, SUPPORT_TOL, dag, kron, spectrum_entropy
 from .observations import ObservationLevel, probe_groups, span_report
 
 # Armijo sufficient-decrease constant, backtracking factor and limit.
@@ -216,24 +215,31 @@ def dual_hessian(point, ops):
     return 0.5 * (H + H.T)
 
 
-class _NewtonResult(NamedTuple):
-    converged: bool
-    lam: np.ndarray
-    point: DualPoint
-    iterations: int
-
-
 def _newton(ops, targets, base, opts):
+    """Minimize the dual from lam = 0 to ||g||_inf <= grad_tol, and return
+    (lam, point, iterations).
+
+    A run stops short of that at the multiplier cap, on a failed line
+    search or after max_iter iterations.  Weak duality then decides what
+    the stop means: for every state omega on the frame that meets the
+    targets, ln Z(lam) >= S(omega) + Tr(omega base) - lam . x (Gibbs
+    variational principle), so D(lam) >= min eig(base), and a lower value
+    proves that no such state exists (InfeasibleError).  The bound is
+    lowered by sum_j |lam_j| times the tolerance to which pruning holds
+    target j: a state that meets every target only to that tolerance
+    moves the dual value by at most as much, so the certificate covers it
+    too.  Any other stop is a ConvergenceError.
+    """
     n = len(targets)
     lam = np.zeros(n)
     pt = _dual_pieces(lam, ops, targets, base)
     iters = 0
-    while iters < opts.max_iter:
+    while True:
         gnorm = np.abs(pt.gradient).max() if n else 0.0
         if gnorm <= opts.grad_tol:
-            return _NewtonResult(True, lam, pt, iters)
-        if np.abs(lam).max() > _MULTIPLIER_CAP:
-            return _NewtonResult(False, lam, pt, iters)
+            return lam, pt, iters
+        if iters == opts.max_iter or np.abs(lam).max() > _MULTIPLIER_CAP:
+            break
         iters += 1
         H = dual_hessian(pt, ops)
         reg = 1e-12 * max(1.0, abs(np.trace(H)) / n)
@@ -262,10 +268,17 @@ def _newton(ops, targets, base, opts):
             break
         lam = lam + t * step
         pt = accepted
-    # A stalled iterate within 10x of tolerance is numerically converged:
-    # the line search hits rounding noise before the nominal tolerance.
-    converged = np.abs(pt.gradient).max() <= 10.0 * opts.grad_tol
-    return _NewtonResult(bool(converged), lam, pt, iters)
+    floor = np.linalg.eigvalsh(base)[0]
+    slack = _TARGET_TOL * float(np.abs(lam) @ np.maximum(1.0, np.abs(targets)))
+    if pt.value < floor - slack:
+        raise InfeasibleError(
+            f"the dual value {pt.value:.12g} is below {floor:.12g}, the "
+            f"least that any state meeting the constraints allows: no channel meets them"
+        )
+    raise ConvergenceError(
+        f"dual solver did not converge after {iters} iterations "
+        f"(gradient norm {gnorm:.3e}, largest multiplier {np.abs(lam).max():.3e})"
+    )
 
 
 def prune_constraints(ops, targets, labels):
@@ -319,6 +332,7 @@ def _pinned_face(ops, targets, labels, ends=None):
 
 class _CoreSolution(NamedTuple):
     sigma: np.ndarray     # state in the frame of the input operators
+    spectrum: np.ndarray  # its eigenvalues on the face, ascending
     lam: np.ndarray       # multipliers per original constraint (0 where pruned)
     log_partition: float
     iterations: int
@@ -478,9 +492,8 @@ def _solve_core(ops, targets, labels, frame, base, opts, d=None, ends=None):
     basis only, which keeps both, and the first pass on it then neither
     prunes nor takes the spectra again.
 
-    A Newton run that does not converge ends the solve: _refuse raises
-    InfeasibleError when weak duality proves the data infeasible, else
-    ConvergenceError.
+    A Newton run that does not converge ends the solve with the error
+    _newton raises.
     """
     n, dim = len(targets), ops.shape[-1]
     if frame is None:
@@ -500,72 +513,40 @@ def _solve_core(ops, targets, labels, frame, base, opts, d=None, ends=None):
         if face is None and len(keep) == W.shape[1] ** 2 - 1:
             face, sigma, w, coef = _determined_state(f_ops, targets, keep, f_base)
             if face is None:
-                lam_kept, ln_z, least = coef[1:], coef[0], w[0]
+                lam_kept, ln_z = coef[1:], coef[0]
                 break
         if face is None and not searched:
             searched = True
             face = _probe_face(ops, targets, W, d)
         if face is None:
-            res = _newton(kept_ops, kept_targets, f_base, opts)
-            iterations += res.iterations
-            if not res.converged:
-                _refuse(res, kept_targets, f_base, iterations)
-            sigma, lam_kept = res.point.omega, res.lam
-            ln_z = res.point.value - float(res.lam @ kept_targets)
-            least = _gibbs_weights(res.point).min()
+            lam_kept, point, iterations = _newton(kept_ops, kept_targets, f_base, opts)
+            sigma, w = point.omega, _gibbs_weights(point)
+            ln_z = point.value - float(lam_kept @ kept_targets)
             break
         W = W @ face
         f_ops, f_base = dag(face) @ f_ops @ face, dag(face) @ f_base @ face
     lam = np.zeros(n)
     lam[keep] = lam_kept
-    return _CoreSolution(W @ sigma @ dag(W), lam, float(ln_z), iterations,
-                         bool(W.shape[1] < dim or least < _FACE_TOL))
-
-
-def _refuse(res, targets, base, iterations):
-    """Raise InfeasibleError when the dual value of a Newton run that did
-    not converge is below the least value a feasible state allows, else
-    ConvergenceError.
-
-    For every state omega on the frame that meets the targets, ln Z(lam)
-    >= S(omega) + Tr(omega base) - lam . x (Gibbs variational principle),
-    so D(lam) >= min eig(base): a lower value proves that no such state
-    exists (weak duality).  The bound is lowered by sum_j |lam_j| times
-    the tolerance to which pruning holds target j: a state that meets
-    every target only to that tolerance moves the dual value by at most
-    as much, so the certificate covers it too.
-    """
-    floor = np.linalg.eigvalsh(base)[0]
-    slack = _TARGET_TOL * float(np.abs(res.lam) @ np.maximum(1.0, np.abs(targets)))
-    if res.point.value < floor - slack:
-        raise InfeasibleError(
-            f"the dual value {res.point.value:.12g} is below {floor:.12g}, the "
-            f"least that any state meeting the constraints allows: no channel meets them"
-        )
-    raise ConvergenceError(
-        f"dual solver did not converge after {iterations} iterations "
-        f"(gradient norm {np.abs(res.point.gradient).max():.3e}, "
-        f"largest multiplier {np.abs(res.lam).max():.3e})"
-    )
+    return _CoreSolution(W @ sigma @ dag(W), w, lam, float(ln_z), iterations,
+                         bool(W.shape[1] < dim or w[0] < _FACE_TOL))
 
 
 def _package(obs, core, opts):
+    """The estimate of a core solution that meets every constraint, the
+    trace-preservation ones among them, to 10 grad_tol; any other is a
+    ConvergenceError."""
     residuals = np.abs(np.einsum("jkl,lk->j", obs.operators, core.sigma).real - obs.targets)
-    choi = ChoiState(obs.d, 0.5 * (core.sigma + dag(core.sigma)))
-    w = np.linalg.eigvalsh(choi.matrix)
-    p = w[w > 1e-15]
-    entropy_bits = float(-np.sum(p * np.log2(p)))
     worst = residuals.max(initial=0.0)
     if worst > 10.0 * opts.grad_tol:
         raise ConvergenceError(
             f"converged solution violates constraints (max residual {worst:.3e})"
         )
     return MaxEntSolution(
-        choi=choi,
+        choi=ChoiState(obs.d, 0.5 * (core.sigma + dag(core.sigma))),
         multipliers=core.lam,
         labels=obs.labels,
         log_partition=core.log_partition,
-        entropy_bits=entropy_bits,
+        entropy_bits=spectrum_entropy(core.spectrum),
         residuals=residuals,
         iterations=core.iterations,
         boundary_flag=core.boundary,

@@ -70,7 +70,7 @@ def test_cli_import_does_not_load_scipy():
 
 class TestParsing:
     def test_load_problem_fixture(self):
-        obs, prior, opts, seed = load_problem(f"{FIXTURES}/o1_mixed.json")
+        obs, prior, opts = load_problem(f"{FIXTURES}/o1_mixed.json")
         assert obs.d == 2 and len(obs.constraints) == 1 and prior is None
 
     def test_load_channel_kraus(self):
@@ -100,7 +100,7 @@ class TestParsing:
             {"kind": "ancilla_free", "state": matrix_doc(rho),
              "observable": matrix_doc(F), "mean": 0.0},
         ]})
-        obs, _, _, _ = load_problem(path)
+        obs, _, _ = load_problem(path)
         assert np.allclose(obs.operators[0],
                            reduce_ancilla_assisted(bell, np.kron(PAULI_Z, PAULI_Z), 2))
         assert np.allclose(obs.operators[1], reduce_ancilla_free(rho, F))
@@ -262,6 +262,20 @@ class TestEstimate:
         report = is_cptp(read_choi(doc))
         assert report.positive and report.trace_preserving
         assert doc["diagnostics"]["boundary_flag"]
+
+    def test_missed_pruned_target_exit_code(self, tmp_path, capsys):
+        # exact means of a rank-1 qutrit channel, 2 probes: the estimate on
+        # the probe face misses the pruned tp:6, which is no convergence
+        # (exit 4), not an infeasible record (exit 3)
+        rng = np.random.default_rng(163)
+        truth = random_channel(3, 1, rng)
+        specs = probe_tomography(3, 2, rng)
+        means = simulate_means(truth, specs).targets
+        path = write_json(tmp_path, "rank1.json", {"dimension": 3, "constraints": [
+            {"kind": "ancilla_free", "state": matrix_doc(spec.state),
+             "observable": matrix_doc(spec.observable), "mean": float(x), "label": spec.label}
+            for spec, x in zip(specs, means)]})
+        assert main(["estimate", path]) == EXIT_NO_CONVERGENCE
 
     def test_inline_prior(self, tmp_path, capsys):
         # an identity prior cannot support |0> -> |1>

@@ -424,6 +424,14 @@ class TestExactData:
         d, rank, _ = seed
         self.check_exact_record(d, rank, 2, np.random.default_rng(seed), must_converge=True)
 
+    # Rank-1 qutrit channels with 2 probes: Newton converges on the probe
+    # face, but a constraint pruned there (tp:6 for seed 163) misses its
+    # target; the trace-preservation check of the estimate once reported
+    # that as NotAChannelError, before the residuals were checked.
+    @pytest.mark.parametrize("seed", [5, 28, 44, 83, 125, 163])
+    def test_missed_pruned_target_is_not_infeasible(self, seed):
+        self.check_exact_record(3, 1, 2, np.random.default_rng(seed))
+
     # (d, rank, probes, seed) draws on which Newton alone stopped at the
     # multiplier cap: every probe's output is singular, and the estimate
     # lies on the face their kernels prove.
