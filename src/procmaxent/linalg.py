@@ -47,16 +47,17 @@ def check_hermitian(A, name="operator"):
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"{name} must be a square matrix, got shape {A.shape}")
-    dev = frobenius(A - dag(A))
-    if dev > HERMITICITY_TOL * max(1.0, frobenius(A)):
-        raise InvariantError(f"{name} is not Hermitian (deviation {dev:.3e})")
+    diff = A - A.conj().T
+    dev2 = np.vdot(diff, diff).real
+    if dev2 > HERMITICITY_TOL ** 2 * max(1.0, np.vdot(A, A).real):
+        raise InvariantError(f"{name} is not Hermitian (deviation {np.sqrt(dev2):.3e})")
     return A
 
 
 def check_density(rho, name="state"):
     """Validate a density matrix: Hermitian, positive, unit trace."""
     rho = check_hermitian(rho, name=name)
-    tr = np.trace(rho)
+    tr = rho.trace()
     if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise InvariantError(f"{name} has trace {tr:.12g}, expected 1")
     w = np.linalg.eigvalsh(rho)

@@ -47,11 +47,25 @@ every feasible Choi state, whose support therefore lies in its kernel
 jointly infeasible targets show up as inconsistent dependent targets
 or as a target outside its restricted operator's spectrum.
 
+Newton starts from the least-squares feasible state omega_LS, the
+operator in span{I, X_j} that meets Tr omega = 1 and every target (one
+Gram solve, _feasible_start).  When omega_LS is positive definite, a
+state of full rank on the frame is feasible, so no proper face holds
+the feasible set: the pass skips the probe-face search, and Newton
+starts from the multipliers of the projection of base - log omega_LS
+onto the span.  Where the span is closed under the logarithm, as on the
+paper's worked examples, that is the optimum and Newton takes no step.
+A pass whose omega_LS is singular or indefinite searches the probe faces
+first and starts Newton from lam = 0.
+
 Newton decides its own outcome (_newton): it converges when the dual
 gradient's max-norm is at most grad_tol, and a run that stops first ends
 the solve, with InfeasibleError when weak duality proves the data
 infeasible, else ConvergenceError.  An estimate is accepted once, when
-it meets every constraint, trace preservation included, to 10 grad_tol.
+it meets every constraint, trace preservation included, to 10 grad_tol,
+and its marginal Tr_2 omega is I/d to the tolerance ChoiState checks.
+The traces against the operator stack (the exponent, the means, the
+residuals) are each one real matrix-vector product on its float view.
 """
 
 from __future__ import annotations
@@ -63,14 +77,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import ChoiState
+from .channels import CPTP_TOL, ChoiState
 from .errors import (
     BoundaryCaseError,
     ConvergenceError,
     InfeasibleError,
     InvariantError,
 )
-from .linalg import DENSITY_EIG_TOL, SUPPORT_TOL, dag, kron, spectrum_entropy
+from .linalg import (
+    DENSITY_EIG_TOL,
+    SUPPORT_TOL,
+    dag,
+    frobenius,
+    kron,
+    partial_trace,
+    spectrum_entropy,
+)
 from .observations import ObservationLevel, probe_groups, span_report
 
 # Armijo sufficient-decrease constant, backtracking factor and limit.
@@ -153,25 +175,31 @@ class DualPoint(NamedTuple):
     V: np.ndarray         # its eigenvectors (columns)
 
 
+def _flat(ops):
+    """The stack of k x k operators ops as an (n, 2 k**2) real array: for
+    Hermitian X and Y, Re Tr(X Y) is the dot product of the float views
+    of vec X and vec Y, so every trace against a stack is one real
+    matrix-vector product."""
+    ops = np.ascontiguousarray(ops, dtype=complex)
+    return ops.reshape(len(ops), ops.shape[-1] ** 2).view(float)
+
+
 def _dual_pieces(lam, ops, targets, base=None):
     """Dual value, gradient and primal state from one eigendecomposition,
     which the point keeps for dual_hessian.
 
     ln Z is computed with a max-eigenvalue shift for overflow safety.
     """
-    A = np.tensordot(lam, ops, axes=1)
-    if base is not None:
-        A = base - A
-    else:
-        A = -A
+    flat, k = _flat(ops), ops.shape[-1]
+    A = (lam @ flat).view(complex).reshape(k, k)
+    A = -A if base is None else base - A
     w, V = np.linalg.eigh(0.5 * (A + dag(A)))
     shift = w[-1]
     ew = np.exp(w - shift)
     Z = ew.sum()
     ln_z = float(np.log(Z) + shift)
     omega = (V * (ew / Z)) @ dag(V)
-    means = np.einsum("jkl,lk->j", ops, omega).real
-    grad = targets - means
+    grad = targets - flat @ omega.reshape(-1).view(float)
     return DualPoint(ln_z + float(lam @ targets), grad, omega, w, V)
 
 
@@ -215,9 +243,37 @@ def dual_hessian(point, ops):
     return 0.5 * (H + H.T)
 
 
-def _newton(ops, targets, base, opts):
-    """Minimize the dual from lam = 0 to ||g||_inf <= grad_tol, and return
-    (lam, point, iterations).
+def _feasible_start(ops, targets, base):
+    """The multipliers from which Newton starts when the least-squares
+    feasible state is positive definite, else None.
+
+    That state, omega_LS, is the Hermitian operator in span{I, X_j} with
+    Tr omega = 1 and Tr(omega X_j) = x_j: omega = sum_i a_i F_i over F =
+    (I, X_1, ..., X_n), with G a = (1, x) for the Gram matrix G_ik =
+    Tr(F_i F_k).  When it meets the targets to the tolerance pruning holds
+    them to and every eigenvalue exceeds _FACE_TOL, a state of full rank
+    on the frame is feasible, so no proper face holds the feasible set.
+    Newton then starts from the projection of base - log omega_LS onto
+    the span, ln Z I + sum_j lam_j X_j; where log omega_LS lies in the
+    span, omega_LS is the estimate and the start is the optimum.
+    """
+    k = base.shape[0]
+    F = _flat(np.concatenate((np.eye(k, dtype=complex)[None], ops)))
+    G = F @ F.T
+    a = np.linalg.solve(G, np.concatenate(((1.0,), targets)))
+    vec = a @ F
+    if np.any(np.abs(F[1:] @ vec - targets) > _TARGET_TOL * np.maximum(1.0, np.abs(targets))):
+        return None
+    w, V = np.linalg.eigh(vec.view(complex).reshape(k, k))
+    if w[0] <= _FACE_TOL:
+        return None
+    B = base - (V * np.log(w)) @ dag(V)
+    return np.linalg.solve(G, F @ B.reshape(-1).view(float))[1:]
+
+
+def _newton(ops, targets, base, opts, lam=None):
+    """Minimize the dual from lam (zero when None) to ||g||_inf <=
+    grad_tol, and return (lam, point, iterations).
 
     A run stops short of that at the multiplier cap, on a failed line
     search or after max_iter iterations.  Weak duality then decides what
@@ -231,7 +287,7 @@ def _newton(ops, targets, base, opts):
     too.  Any other stop is a ConvergenceError.
     """
     n = len(targets)
-    lam = np.zeros(n)
+    lam = np.zeros(n) if lam is None else lam
     pt = _dual_pieces(lam, ops, targets, base)
     iters = 0
     while True:
@@ -480,9 +536,12 @@ def _solve_core(ops, targets, labels, frame, base, opts, d=None, ends=None):
     channel dimension of a record with trace-preservation constraints,
     is given).  A pass whose kept constraints and the identity span the
     Hermitian operators on the frame is determined and is solved by
-    _determined_state, without Newton; the probe faces are sought on the
-    first pass that would otherwise run Newton, and every other pass runs
-    Newton.  A constraint pinned on the whole frame equals x I there,
+    _determined_state, without Newton.  Every other pass first fits the
+    least-squares feasible state (_feasible_start): when it is positive
+    definite, no proper face exists, and Newton runs from its
+    multipliers.  Otherwise the probe faces are sought, once per solve,
+    and a pass they leave unnarrowed runs Newton from lam = 0.  A
+    constraint pinned on the whole frame equals x I there,
     which pruning removes, so each face is proper and the loop ends
     within dim passes.
 
@@ -515,11 +574,13 @@ def _solve_core(ops, targets, labels, frame, base, opts, d=None, ends=None):
             if face is None:
                 lam_kept, ln_z = coef[1:], coef[0]
                 break
-        if face is None and not searched:
-            searched = True
-            face = _probe_face(ops, targets, W, d)
         if face is None:
-            lam_kept, point, iterations = _newton(kept_ops, kept_targets, f_base, opts)
+            start = _feasible_start(kept_ops, kept_targets, f_base)
+            if start is None and not searched:
+                searched = True
+                face = _probe_face(ops, targets, W, d)
+        if face is None:
+            lam_kept, point, iterations = _newton(kept_ops, kept_targets, f_base, opts, start)
             sigma, w = point.omega, _gibbs_weights(point)
             ln_z = point.value - float(lam_kept @ kept_targets)
             break
@@ -533,16 +594,20 @@ def _solve_core(ops, targets, labels, frame, base, opts, d=None, ends=None):
 
 def _package(obs, core, opts):
     """The estimate of a core solution that meets every constraint, the
-    trace-preservation ones among them, to 10 grad_tol; any other is a
+    trace-preservation ones among them, to 10 grad_tol, and whose marginal
+    Tr_2 omega is I/d to CPTP_TOL, as ChoiState checks it; any other is a
     ConvergenceError."""
-    residuals = np.abs(np.einsum("jkl,lk->j", obs.operators, core.sigma).real - obs.targets)
+    sigma = 0.5 * (core.sigma + dag(core.sigma))
+    residuals = np.abs(_flat(obs.operators) @ sigma.reshape(-1).view(float) - obs.targets)
     worst = residuals.max(initial=0.0)
-    if worst > 10.0 * opts.grad_tol:
+    tp_dev = frobenius(partial_trace(sigma, (obs.d, obs.d), "second") - np.eye(obs.d) / obs.d)
+    if worst > 10.0 * opts.grad_tol or tp_dev > CPTP_TOL:
         raise ConvergenceError(
-            f"converged solution violates constraints (max residual {worst:.3e})"
+            f"converged solution violates constraints (max residual {worst:.3e}, "
+            f"Tr_2 omega deviates from I/d by {tp_dev:.3e})"
         )
     return MaxEntSolution(
-        choi=ChoiState(obs.d, 0.5 * (core.sigma + dag(core.sigma))),
+        choi=ChoiState(obs.d, sigma),
         multipliers=core.lam,
         labels=obs.labels,
         log_partition=core.log_partition,

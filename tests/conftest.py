@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from procmaxent import ProcessMeasurementSpec
-from procmaxent.linalg import PAULIS, dag, hermitian_basis
+from procmaxent import ProcessMeasurementSpec, random_channel, simulate_means
+from procmaxent.linalg import PAULIS, bloch_to_density, dag, hermitian_basis
 
 
 @pytest.fixture
@@ -58,3 +58,18 @@ def probe_tomography(d, probes, rng):
             for k, F in enumerate(hermitian_basis(d))
         ]
     return specs
+
+
+def two_probe_qubit_record(seed):
+    """(specs, observation level) of pure qubit probes with Bloch vectors
+    (0, 0, 1) and (1, 0, 0), each followed by X, Y and Z, with the exact
+    means of random_channel(2, 4, default_rng(seed)).  Newton takes
+    several steps on it even from the least-squares feasible state."""
+    truth = random_channel(2, 4, np.random.default_rng(seed))
+    specs = [
+        ProcessMeasurementSpec("ancilla_free", state=bloch_to_density(bloch),
+                               observable=P, label=f"p{p}:{k}")
+        for p, bloch in enumerate(([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]))
+        for k, P in enumerate(PAULIS)
+    ]
+    return specs, simulate_means(truth, specs)

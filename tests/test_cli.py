@@ -34,7 +34,7 @@ from procmaxent.cli import (
 )
 from procmaxent.linalg import PAULI_X, PAULI_Y, PAULI_Z, bloch_to_density, frobenius
 
-from conftest import probe_tomography, transpose_map_record
+from conftest import probe_tomography, transpose_map_record, two_probe_qubit_record
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = str(ROOT / "demos" / "fixtures")
@@ -44,6 +44,14 @@ def write_json(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def record_document(d, specs, means):
+    """A problem file's document for ancilla-free specs with their means."""
+    return {"dimension": d, "constraints": [
+        {"kind": "ancilla_free", "state": matrix_doc(spec.state),
+         "observable": matrix_doc(spec.observable), "mean": float(x), "label": spec.label}
+        for spec, x in zip(specs, means)]}
 
 
 def matrix_doc(M):
@@ -292,8 +300,26 @@ class TestSolverBlock:
         return write_json(tmp_path, "problem.json", doc)
 
     def test_iteration_budget_exit_code(self, tmp_path, capsys):
-        path = self.problem_with(tmp_path, {"max_iter": 1, "grad_tol": 1e-14})
+        # a record that Newton cannot finish in one step from its start
+        specs, obs = two_probe_qubit_record(0)
+        doc = record_document(2, specs, obs.targets)
+        out = str(tmp_path / "out.json")
+        assert main(["estimate", write_json(tmp_path, "record.json", doc), "-o", out]) == EXIT_OK
+        assert json.loads(pathlib.Path(out).read_text())["diagnostics"]["iterations"] >= 2
+        doc["solver"] = {"max_iter": 1, "grad_tol": 1e-14}
+        path = write_json(tmp_path, "problem.json", doc)
         assert main(["estimate", path]) == EXIT_NO_CONVERGENCE
+
+    def test_loose_grad_tol_exit_code(self, tmp_path, capsys):
+        # exact means of a rank-1 qutrit channel, 2 probes: at grad_tol =
+        # 1e-8 the estimate's marginal misses I/d by 4.7e-8, which is no
+        # convergence (exit 4), not an infeasible record (exit 3)
+        rng = np.random.default_rng(5)
+        truth = random_channel(3, 1, rng)
+        specs = probe_tomography(3, 2, rng)
+        doc = record_document(3, specs, simulate_means(truth, specs).targets)
+        doc["solver"] = {"grad_tol": 1e-8}
+        assert main(["estimate", write_json(tmp_path, "rank1.json", doc)]) == EXIT_NO_CONVERGENCE
 
     def test_unknown_key_exit_code(self, tmp_path, capsys):
         path = self.problem_with(tmp_path, {"multiplier_cap": 5})

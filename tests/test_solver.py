@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,8 @@ from procmaxent import (
     solve_maxent,
     solve_state_maxent,
 )
+from procmaxent import solver as solver_module
+from procmaxent.cli import load_problem
 from procmaxent.linalg import (
     ID2,
     PAULI_X,
@@ -33,7 +37,10 @@ from procmaxent.linalg import (
     bloch_to_density,
     dag,
     frobenius,
+    spectrum_entropy,
 )
+from procmaxent.oracles import oracle_O1_mixed, oracle_O1_pure, oracle_O3, oracle_O4
+from procmaxent.solver import _feasible_start, _gibbs_weights, _newton
 
 from conftest import (
     probe_tomography,
@@ -42,7 +49,11 @@ from conftest import (
     random_unit_vector,
     random_unitary,
     transpose_map_record,
+    two_probe_qubit_record,
 )
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "demos" / "fixtures"
 
 
 def obs_single(operator, target, label="m"):
@@ -291,7 +302,9 @@ class TestSolveMaxent:
         assert np.array_equal(boundary_resolve(obs).choi.matrix, sol.choi.matrix)
 
     def test_iteration_budget(self):
-        obs = obs_single(reduce_ancilla_free(0.5 * ID2, PAULI_Z), 0.5)
+        # a record that Newton cannot finish in one step from its start
+        _, obs = two_probe_qubit_record(0)
+        assert solve_maxent(obs).iterations >= 2
         with pytest.raises(ConvergenceError):
             solve_maxent(obs, SolverOptions(max_iter=1, grad_tol=1e-14))
 
@@ -329,6 +342,69 @@ class TestNewtonConvergence:
             if sol.iterations > 20 or sol.residuals.max() > 1e-9:
                 bad.append((i, sol.iterations, sol.residuals.max()))
         assert not bad
+
+
+def _state_map(out):
+    """Choi state of the maximum-entropy channel that sends |0> to the
+    state out and leaves |1>'s image unconstrained (maximally mixed)."""
+    return 0.5 * (np.kron(np.diag([1.0, 0.0]), out) + np.kron(np.diag([0.0, 1.0]), 0.5 * ID2))
+
+
+class TestFeasibleStart:
+    """Newton starts from the multipliers of the least-squares feasible
+    state when that state is positive definite, and such a pass skips the
+    probe-face search: a feasible state of full rank leaves no proper
+    face."""
+
+    # v_zero_to_one_identity_prior's prior cannot hold |0> -> |1>
+    # (test_cli); its record alone is v_zero_to_one's.
+    @pytest.mark.parametrize("fixture, expected", [
+        ("o1_mixed", oracle_O1_mixed(0.5).choi.matrix),
+        ("o1_pure", oracle_O1_pure(0.6, [0.6, 0.0, 0.8]).choi.matrix),
+        ("o3", oracle_O3([0.2, -0.5, 0.6]).choi.matrix),
+        ("o4", oracle_O4(0.1, [0.3, 0.1, 0.5]).choi.matrix),
+        ("v_zero_to_one", _state_map(np.diag([0.0, 1.0]))),
+        ("v_zero_to_one_identity_prior", _state_map(np.diag([0.0, 1.0]))),
+        ("v_zero_to_zero", _state_map(np.diag([1.0, 0.0]))),
+    ])
+    def test_paper_records_start_at_the_estimate(self, fixture, expected):
+        obs, _, opts = load_problem(f"{FIXTURES}/{fixture}.json")
+        sol = solve_maxent(obs, opts)
+        assert sol.iterations == 0
+        assert frobenius(sol.choi.matrix - expected) < 1e-8
+
+    def test_full_rank_record_skips_probe_search(self, monkeypatch):
+        calls = []
+        search = solver_module._probe_face
+        monkeypatch.setattr(solver_module, "_probe_face",
+                            lambda *args: calls.append(args) or search(*args))
+        rng = np.random.default_rng(7)
+        obs = simulate_means(random_channel(3, 9, rng), probe_tomography(3, 3, rng))
+        assert solve_maxent(obs).residuals.max() <= 1e-9
+        assert not calls
+        # the record of TestSolveMaxent.test_pure_output_sets_flag has a
+        # pure output, so no feasible state has full rank
+        rho = bloch_to_density([0.0, 0.0, 1.0])
+        obs = ObservationLevel(d=2, constraints=(
+            Constraint(reduce_ancilla_free(rho, PAULI_X), 0.6, label="x"),
+            Constraint(reduce_ancilla_free(rho, PAULI_Z), 0.8, label="z"),
+        ))
+        assert solve_maxent(obs).boundary_flag
+        assert calls
+
+    @pytest.mark.parametrize("d, probes, seed", [(2, 2, 0), (3, 3, 1), (3, 5, 2), (4, 4, 3)])
+    def test_start_and_zero_reach_the_same_estimate(self, d, probes, seed):
+        rng = np.random.default_rng([d, probes, seed])
+        obs = simulate_means(random_channel(d, d * d, rng), probe_tomography(d, probes, rng))
+        base = np.zeros((d * d, d * d), dtype=complex)
+        start = _feasible_start(obs.operators, obs.targets, base)
+        assert start is not None
+        entropies = [
+            spectrum_entropy(_gibbs_weights(_newton(obs.operators, obs.targets, base,
+                                                    SolverOptions(), lam)[1]))
+            for lam in (None, start)
+        ]
+        assert abs(entropies[0] - entropies[1]) <= 1e-9
 
 
 class TestDeterminedData:
@@ -431,6 +507,18 @@ class TestExactData:
     @pytest.mark.parametrize("seed", [5, 28, 44, 83, 125, 163])
     def test_missed_pruned_target_is_not_infeasible(self, seed):
         self.check_exact_record(3, 1, 2, np.random.default_rng(seed))
+
+    # With grad_tol = 1e-8 the residuals pass at 1e-7 while the estimate's
+    # marginal misses I/d by 4.7e-8; that once raised NotAChannelError.
+    def test_loose_grad_tol_is_not_infeasible(self):
+        rng = np.random.default_rng(5)
+        truth = random_channel(3, 1, rng)
+        obs = simulate_means(truth, probe_tomography(3, 2, rng))
+        try:
+            sol = solve_maxent(obs, SolverOptions(grad_tol=1e-8))
+        except ConvergenceError:
+            return
+        assert is_cptp(sol.choi.matrix).trace_preserving
 
     # (d, rank, probes, seed) draws on which Newton alone stopped at the
     # multiplier cap: every probe's output is singular, and the estimate
