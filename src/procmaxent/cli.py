@@ -320,6 +320,8 @@ def cmd_simulate(args):
             f"design dimension {d} does not match channel dimension {choi.d}"
         )
     obs = simulate_means(choi, specs)
+    # one stream for the run, so each measurement draws its own shots
+    rng = np.random.default_rng(args.seed)
     out_cons = []
     for spec, con in zip(specs, obs.constraints):
         mean = con.target
@@ -329,7 +331,7 @@ def cmd_simulate(args):
                     f"{con.label}: mean {mean:.6g} outside [-1, 1]; shot sampling "
                     "models +/-1-valued observables only"
                 )
-            mean = sample_shots(mean, args.shots, args.seed)
+            mean = sample_shots(mean, args.shots, rng)
         entry = {"kind": spec.kind, "mean": mean, "label": con.label}
         if spec.kind == "raw":
             entry["operator"] = _matrix_to_json(spec.operator)
@@ -375,6 +377,13 @@ def cmd_check(args):
 
 # ---------------------------------------------------------------- entry
 
+def _count(text):
+    """A non-negative integer option; anything else is a usage error (exit 2)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, not {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="procmaxent",
@@ -395,9 +404,9 @@ def build_parser():
     p.add_argument("channel")
     p.add_argument("design")
     p.add_argument("-o", "--output", default="-")
-    p.add_argument("--shots", type=int, default=0,
+    p.add_argument("--shots", type=_count, default=0,
                    help="sample finite statistics instead of exact means")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("entropy", help="report the process entropy of a channel")

@@ -340,12 +340,12 @@ def simulate_means(choi, specs):
 
 def sample_shots(mean, shots, seed):
     """Empirical mean of `shots` +/-1 Bernoulli draws with the given
-    expectation; deterministic for a fixed seed (or Generator)."""
+    expectation, from one binomial count of the +1 outcomes, so memory does
+    not grow with shots; deterministic for a fixed seed (or Generator)."""
     if abs(mean) > 1.0:
         raise InvariantError(f"|mean| = {abs(mean):.12g} exceeds 1")
     if shots < 1:
         raise ValueError("shots must be a positive integer")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    p_up = 0.5 * (1.0 + mean)
-    ups = int(np.count_nonzero(rng.random(shots) < p_up))
+    ups = int(rng.binomial(shots, 0.5 * (1.0 + mean)))
     return (2.0 * ups - shots) / shots

@@ -19,15 +19,6 @@ level when it still lowers the gradient's max-norm: near the optimum
 the dual is flat to machine precision and Armijo alone cannot tell a
 good step from a bad one.
 
-A record whose constraints and Tr omega = 1 span every Hermitian
-operator on the frame (complete process tomography) determines the
-state, and the maximum-entropy estimate is that state.  Such a pass is
-solved directly: one least-squares solve for the state and one
-eigendecomposition, which shows whether it is positive, singular (its
-support is then the next face) or of full rank (the multipliers then
-follow from log omega by one more linear solve).  Newton runs on every
-other pass.
-
 Targets on the boundary of the jointly feasible set make the dual
 infimum unattained: every feasible state lives on a face of the state
 space, and the multipliers diverge.  The solver reduces the problem to
@@ -47,16 +38,22 @@ every feasible Choi state, whose support therefore lies in its kernel
 jointly infeasible targets show up as inconsistent dependent targets
 or as a target outside its restricted operator's spectrum.
 
-Newton starts from the least-squares feasible state omega_LS, the
-operator in span{I, X_j} that meets Tr omega = 1 and every target (one
-Gram solve, _feasible_start).  When omega_LS is positive definite, a
-state of full rank on the frame is feasible, so no proper face holds
-the feasible set: the pass skips the probe-face search, and Newton
-starts from the multipliers of the projection of base - log omega_LS
-onto the span.  Where the span is closed under the logarithm, as on the
-paper's worked examples, that is the optimum and Newton takes no step.
-A pass whose omega_LS is singular or indefinite searches the probe faces
-first and starts Newton from lam = 0.
+Each pass that no pinned target narrows fits one least-squares
+feasible state omega_LS, the operator in span{I, X_j} that meets Tr
+omega = 1 and every target (_least_squares_state).  A record whose
+constraints and Tr omega = 1 span every Hermitian operator on the frame
+(complete process tomography) determines the state, so omega_LS is the
+maximum-entropy estimate, and one eigendecomposition shows whether it
+is positive, singular (its support is then the next face) or of full
+rank (it is then the estimate, without Newton).  On any other frame a
+positive definite omega_LS is a feasible state of full rank, so no
+proper face holds the feasible set: the pass skips the probe-face
+search and runs Newton.  Both take their multipliers from one Gram
+solve, the projection of base - log omega_LS onto the span: the final
+ones on a determined pass, Newton's start on any other, which is the
+optimum where the span is closed under the logarithm, as on the paper's
+worked examples.  A pass whose omega_LS is singular or indefinite
+searches the probe faces first and starts Newton from lam = 0.
 
 Newton decides its own outcome (_newton): it converges when the dual
 gradient's max-norm is at most grad_tol, and a run that stops first ends
@@ -173,6 +170,7 @@ class DualPoint(NamedTuple):
     omega: np.ndarray
     w: np.ndarray         # eigenvalues of the exponent, ascending
     V: np.ndarray         # its eigenvectors (columns)
+    p: np.ndarray         # Gibbs weights e^w/Z, the state's eigenvalues along V
 
 
 def _flat(ops):
@@ -198,9 +196,10 @@ def _dual_pieces(lam, ops, targets, base=None):
     ew = np.exp(w - shift)
     Z = ew.sum()
     ln_z = float(np.log(Z) + shift)
-    omega = (V * (ew / Z)) @ dag(V)
+    p = ew / Z
+    omega = (V * p) @ dag(V)
     grad = targets - flat @ omega.reshape(-1).view(float)
-    return DualPoint(ln_z + float(lam @ targets), grad, omega, w, V)
+    return DualPoint(ln_z + float(lam @ targets), grad, omega, w, V, p)
 
 
 def dual_eval(lam, constraints, base=None):
@@ -209,12 +208,6 @@ def dual_eval(lam, constraints, base=None):
     ops = np.array([c.operator for c in constraints])
     targets = np.array([c.target for c in constraints])
     return _dual_pieces(lam, ops, targets, base=base)
-
-
-def _gibbs_weights(point):
-    """Eigenvalues of the state at a DualPoint, aligned with point.V."""
-    p = np.exp(point.w - point.w[-1])
-    return p / p.sum()
 
 
 def dual_hessian(point, ops):
@@ -227,8 +220,7 @@ def dual_hessian(point, ops):
     (1 - e^-|w_a - w_b|)/|w_a - w_b|, which neither overflows nor loses
     the divided difference to cancellation.
     """
-    w, V = point.w, point.V
-    p = _gibbs_weights(point)
+    w, V, p = point.w, point.V, point.p
     dw = np.abs(w[:, None] - w[None, :])
     nonzero = dw > 0.0
     ratio = np.ones_like(dw)
@@ -241,34 +233,6 @@ def dual_hessian(point, ops):
     G = (np.sqrt(K) * Y).reshape(len(Y), K.size).view(float)
     H = G @ G.T
     return 0.5 * (H + H.T)
-
-
-def _feasible_start(ops, targets, base):
-    """The multipliers from which Newton starts when the least-squares
-    feasible state is positive definite, else None.
-
-    That state, omega_LS, is the Hermitian operator in span{I, X_j} with
-    Tr omega = 1 and Tr(omega X_j) = x_j: omega = sum_i a_i F_i over F =
-    (I, X_1, ..., X_n), with G a = (1, x) for the Gram matrix G_ik =
-    Tr(F_i F_k).  When it meets the targets to the tolerance pruning holds
-    them to and every eigenvalue exceeds _FACE_TOL, a state of full rank
-    on the frame is feasible, so no proper face holds the feasible set.
-    Newton then starts from the projection of base - log omega_LS onto
-    the span, ln Z I + sum_j lam_j X_j; where log omega_LS lies in the
-    span, omega_LS is the estimate and the start is the optimum.
-    """
-    k = base.shape[0]
-    F = _flat(np.concatenate((np.eye(k, dtype=complex)[None], ops)))
-    G = F @ F.T
-    a = np.linalg.solve(G, np.concatenate(((1.0,), targets)))
-    vec = a @ F
-    if np.any(np.abs(F[1:] @ vec - targets) > _TARGET_TOL * np.maximum(1.0, np.abs(targets))):
-        return None
-    w, V = np.linalg.eigh(vec.view(complex).reshape(k, k))
-    if w[0] <= _FACE_TOL:
-        return None
-    B = base - (V * np.log(w)) @ dag(V)
-    return np.linalg.solve(G, F @ B.reshape(-1).view(float))[1:]
 
 
 def _newton(ops, targets, base, opts, lam=None):
@@ -457,24 +421,52 @@ def _determined_images(ops, targets, what):
     return sigma, w, V, supports
 
 
-def _determined_state(ops, targets, keep, base):
-    """The one state sigma with Tr sigma = 1 and Tr(sigma X_j) = x_j when
-    the identity and the kept operators, k**2 - 1 of them, span the
-    Hermitian operators on C^k, as (face, sigma, w, coef): the support of
-    sigma when it is singular (the rest None), else None, sigma, its
-    ascending eigenvalues w and the coefficients coef = (ln Z, lam_kept)
-    of base - log sigma = ln Z I + sum_kept lam_j X_j.  sigma is fitted
-    to every constraint by _determined_images.
+def _least_squares_state(f_ops, targets, kept_ops, kept_targets, base):
+    """The least-squares feasible state omega_LS of a pass on a k-dimensional
+    frame, as (face, ln_z, lam, omega, w).
+
+    f_ops and targets are every constraint on the frame, kept_ops and
+    kept_targets those pruning kept.  omega_LS is the Hermitian operator in
+    span{I, X_kept} with Tr omega = 1 and Tr(omega X_j) = x_j.  When the
+    identity and the k**2 - 1 kept operators span the Hermitian operators
+    on the frame (the pass is determined), omega_LS is the one state the
+    record allows, fitted to every constraint by _determined_images: a
+    negative eigenvalue is infeasible, and a singular omega_LS returns its
+    support as face (the rest None).  On any other frame it is the
+    min-norm fit omega = sum_i a_i F_i over F = (I, X_kept), with G a =
+    (1, x) for the Gram matrix G_ik = Tr(F_i F_k); unless it meets the
+    kept targets to the tolerance pruning holds them to and every
+    eigenvalue exceeds _FACE_TOL, everything is None.
+
+    Otherwise a state of full rank on the frame is feasible, so no proper
+    face holds the feasible set, and one Gram solve projects base - log
+    omega_LS onto the span, ln_z I + sum_kept lam_j X_j, with w the
+    ascending eigenvalues of omega_LS.  A determined omega_LS is the
+    estimate and is returned as omega; on any other pass omega is None
+    and lam is Newton's start, the optimum where log omega_LS lies in the
+    span.
     """
     k = base.shape[0]
-    sigma, w, V, (face,) = _determined_images(ops[None], targets[None],
-                                              "a state on the face")
-    if face is not None:
-        return face, None, None, None
-    sigma, w, V = sigma[0], w[0], V[0]
-    M = np.concatenate((np.eye(k, dtype=complex)[None], ops[keep])).reshape(k * k, k * k)
+    F = _flat(np.concatenate((np.eye(k, dtype=complex)[None], kept_ops)))
+    G = F @ F.T
+    omega = None
+    if len(kept_ops) == k * k - 1:
+        omega, w, V, (face,) = _determined_images(f_ops[None], targets[None],
+                                                  "a state on the face")
+        if face is not None:
+            return face, None, None, None, None
+        omega, w, V = omega[0], w[0], V[0]
+    else:
+        vec = np.linalg.solve(G, np.concatenate(((1.0,), kept_targets))) @ F
+        tol = _TARGET_TOL * np.maximum(1.0, np.abs(kept_targets))
+        if np.any(np.abs(F[1:] @ vec - kept_targets) > tol):
+            return None, None, None, None, None
+        w, V = np.linalg.eigh(vec.view(complex).reshape(k, k))
+        if w[0] <= _FACE_TOL:
+            return None, None, None, None, None
     B = base - (V * np.log(w)) @ dag(V)
-    return None, sigma, w, np.linalg.solve(M.T, B.reshape(-1)).real
+    coef = np.linalg.solve(G, F @ B.reshape(-1).view(float))
+    return None, coef[0], coef[1:], omega, w
 
 
 def _probe_face(ops, targets, W, d):
@@ -534,16 +526,16 @@ def _solve_core(ops, targets, labels, frame, base, opts, d=None, ends=None):
     state the constraints determine, or, once per solve, the face the
     determined outputs of the probes prove (_probe_face; only when d, the
     channel dimension of a record with trace-preservation constraints,
-    is given).  A pass whose kept constraints and the identity span the
-    Hermitian operators on the frame is determined and is solved by
-    _determined_state, without Newton.  Every other pass first fits the
-    least-squares feasible state (_feasible_start): when it is positive
-    definite, no proper face exists, and Newton runs from its
-    multipliers.  Otherwise the probe faces are sought, once per solve,
-    and a pass they leave unnarrowed runs Newton from lam = 0.  A
-    constraint pinned on the whole frame equals x I there,
-    which pruning removes, so each face is proper and the loop ends
-    within dim passes.
+    is given).  Each pass that no pinned target narrows makes one call to
+    _least_squares_state, which fits the least-squares feasible state:
+    on a determined pass (the kept constraints and the identity span the
+    Hermitian operators on the frame) it is the estimate, without Newton,
+    unless it is singular and its support is the face; on any other pass,
+    when it is positive definite, no proper face exists and Newton runs
+    from its multipliers.  Otherwise the probe faces are sought, once per
+    solve, and a pass they leave unnarrowed runs Newton from lam = 0.  A
+    constraint pinned on the whole frame equals x I there, which pruning
+    removes, so each face is proper and the loop ends within dim passes.
 
     ends, the least and largest eigenvalue of each operator, says that
     the operators on the whole space are independent (an ObservationLevel
@@ -569,19 +561,17 @@ def _solve_core(ops, targets, labels, frame, base, opts, d=None, ends=None):
         kept_ops, kept_targets = f_ops[keep], targets[keep]
         face = _pinned_face(kept_ops, kept_targets, [labels[j] for j in keep], ends)
         ends = None
-        if face is None and len(keep) == W.shape[1] ** 2 - 1:
-            face, sigma, w, coef = _determined_state(f_ops, targets, keep, f_base)
-            if face is None:
-                lam_kept, ln_z = coef[1:], coef[0]
-                break
         if face is None:
-            start = _feasible_start(kept_ops, kept_targets, f_base)
-            if start is None and not searched:
+            face, ln_z, lam_kept, sigma, w = _least_squares_state(f_ops, targets, kept_ops,
+                                                                  kept_targets, f_base)
+            if sigma is not None:
+                break
+            if face is None and lam_kept is None and not searched:
                 searched = True
                 face = _probe_face(ops, targets, W, d)
         if face is None:
-            lam_kept, point, iterations = _newton(kept_ops, kept_targets, f_base, opts, start)
-            sigma, w = point.omega, _gibbs_weights(point)
+            lam_kept, point, iterations = _newton(kept_ops, kept_targets, f_base, opts, lam_kept)
+            sigma, w = point.omega, point.p
             ln_z = point.value - float(lam_kept @ kept_targets)
             break
         W = W @ face

@@ -354,6 +354,29 @@ class TestSimulate:
                          "--seed", "3", "-o", out]) == EXIT_OK
         assert pathlib.Path(a).read_text() == pathlib.Path(b).read_text()
 
+    def test_shot_noise_is_independent_across_measurements(self, tmp_path, capsys):
+        # design_ic's first 11 constraints all have exact mean 0 on this
+        # channel; with one stream per measurement their noisy means differ
+        exact = str(tmp_path / "exact.json")
+        noisy = str(tmp_path / "noisy.json")
+        for extra, out in (([], exact), (["--shots", "1000", "--seed", "4"], noisy)):
+            assert main(["simulate", f"{FIXTURES}/channel_diag.json",
+                         f"{FIXTURES}/design_ic.json", "-o", out] + extra) == EXIT_OK
+        m_exact = [c["mean"] for c in json.loads(pathlib.Path(exact).read_text())["constraints"]]
+        m_noisy = [c["mean"] for c in json.loads(pathlib.Path(noisy).read_text())["constraints"]]
+        zero = [y for x, y in zip(m_exact, m_noisy) if x == 0.0]
+        assert len(zero) == 11
+        assert len(set(zero)) > 1
+
+    @pytest.mark.parametrize("flags", [["--shots", "-3"], ["--shots", "10", "--seed", "-1"],
+                                       ["--shots", "abc"]])
+    def test_negative_or_malformed_count_exit_code(self, flags, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", f"{FIXTURES}/channel_diag.json",
+                  f"{FIXTURES}/design_ic.json"] + flags)
+        assert info.value.code == EXIT_PARSE
+        assert "non-negative integer" in capsys.readouterr().err
+
     def test_shot_means_differ_from_exact(self, tmp_path, capsys):
         exact = str(tmp_path / "exact.json")
         noisy = str(tmp_path / "noisy.json")

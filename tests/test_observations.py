@@ -338,6 +338,10 @@ class TestSampleShots:
         est = sample_shots(0.4, 200000, 11)
         assert abs(est - 0.4) < 0.01
 
+    def test_memory_does_not_grow_with_shots(self):
+        # one binomial count: 10**12 draws, not a 10**12-element array
+        assert abs(sample_shots(0.3, 10**12, 5) - 0.3) < 1e-5
+
     def test_rejects_bad_args(self):
         with pytest.raises(InvariantError):
             sample_shots(1.5, 10, 0)

@@ -40,7 +40,7 @@ from procmaxent.linalg import (
     spectrum_entropy,
 )
 from procmaxent.oracles import oracle_O1_mixed, oracle_O1_pure, oracle_O3, oracle_O4
-from procmaxent.solver import _feasible_start, _gibbs_weights, _newton
+from procmaxent.solver import _least_squares_state, _newton
 
 from conftest import (
     probe_tomography,
@@ -397,11 +397,12 @@ class TestFeasibleStart:
         rng = np.random.default_rng([d, probes, seed])
         obs = simulate_means(random_channel(d, d * d, rng), probe_tomography(d, probes, rng))
         base = np.zeros((d * d, d * d), dtype=complex)
-        start = _feasible_start(obs.operators, obs.targets, base)
+        start = _least_squares_state(obs.operators, obs.targets,
+                                     obs.operators, obs.targets, base)[2]
         assert start is not None
         entropies = [
-            spectrum_entropy(_gibbs_weights(_newton(obs.operators, obs.targets, base,
-                                                    SolverOptions(), lam)[1]))
+            spectrum_entropy(_newton(obs.operators, obs.targets, base,
+                                     SolverOptions(), lam)[1].p)
             for lam in (None, start)
         ]
         assert abs(entropies[0] - entropies[1]) <= 1e-9
