@@ -58,7 +58,6 @@ from .oracles import (
 from .solver import (
     MaxEntSolution,
     PriorChannel,
-    SolverOptions,
     boundary_resolve,
     dual_eval,
     dual_hessian,

@@ -164,10 +164,14 @@ def kraus_from_choi(choi):
 
 
 def choi_from_kraus(kraus, d=None):
-    """Choi state of the channel rho -> sum_k A_k rho A_k^dagger."""
+    """Choi state of the channel rho -> sum_k A_k rho A_k^dagger; every A_k
+    must be d x d (DimensionError)."""
     kraus = [np.asarray(A, dtype=complex) for A in kraus]
     if d is None:
         d = kraus[0].shape[0]
+    if any(A.shape != (d, d) for A in kraus):
+        shapes = [A.shape for A in kraus]
+        raise DimensionError(f"Kraus operators must be {d} x {d}, not {shapes}")
     comp = sum(dag(A) @ A for A in kraus)
     if frobenius(comp - np.eye(d)) > 1e-9:
         raise NotAChannelError("Kraus operators do not satisfy sum A^dag A = I")

@@ -49,7 +49,6 @@ from .observations import (
 )
 from .solver import (
     PriorChannel,
-    SolverOptions,
     prune_constraints,
     solve_biased,
     solve_maxent,
@@ -121,8 +120,8 @@ def _parse_observable(obj, nfactors, what="observable"):
 
 
 def _parse_spec(entry, d, index, require_mean):
-    if not isinstance(entry, dict) or "kind" not in entry:
-        raise ParseError(f"constraint {index}: expected an object with 'kind'")
+    if not isinstance(entry, dict) or not isinstance(entry.get("kind"), str):
+        raise ParseError(f"constraint {index}: expected an object with a string 'kind'")
     kind = entry["kind"]
     label = entry.get("label", f"constraint:{index}")
     mean = entry.get("mean")
@@ -201,8 +200,10 @@ def _load_specs(path, require_mean):
 
 
 def load_problem(path):
-    """Parse a problem file into (ObservationLevel, prior, options)."""
+    """Parse a problem file into (ObservationLevel, prior)."""
     d, specs, doc = _load_specs(path, require_mean=True)
+    if "solver" in doc:
+        raise ParseError(f"{path}: unknown key 'solver': the solver has no options")
     cons = tuple(
         Constraint(spec.reduce(d), spec.mean, label=spec.label) for spec in specs
     )
@@ -213,17 +214,7 @@ def load_problem(path):
         raise ParseError(f"{path}: 'prior' must be an object, not {type(pdoc).__name__}")
     if pdoc and pdoc.get("kind", "none") != "none":
         prior = PriorChannel(_channel_from_doc(pdoc, d))
-    opts = _options_from_doc(doc.get("solver") or {})
-    return obs, prior, opts
-
-
-def _options_from_doc(sdoc):
-    if not isinstance(sdoc, dict):
-        raise ParseError("'solver' must be an object")
-    try:
-        return SolverOptions(**sdoc)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad solver options: {exc}") from exc
+    return obs, prior
 
 
 def _channel_from_doc(doc, d=None):
@@ -301,18 +292,20 @@ def result_document(solution, d):
 # ---------------------------------------------------------------- commands
 
 def cmd_estimate(args):
-    obs, prior, opts = load_problem(args.problem)
+    obs, prior = load_problem(args.problem)
     if args.biased:
         prior = PriorChannel(load_channel(args.biased))
     if prior is not None:
-        solution = solve_biased(obs, prior, opts)
+        solution = solve_biased(obs, prior)
     else:
-        solution = solve_maxent(obs, opts)
+        solution = solve_maxent(obs)
     _dump_json(result_document(solution, obs.d), args.output)
     return EXIT_OK
 
 
 def cmd_simulate(args):
+    if args.shots >= 2 ** 63:
+        raise ParseError(f"--shots {args.shots} exceeds 2**63 - 1, the most that numpy draws")
     choi = load_channel(args.channel)
     d, specs, _ = load_design(args.design)
     if d != choi.d:
@@ -361,7 +354,7 @@ def cmd_entropy(args):
 
 
 def cmd_check(args):
-    obs, prior, _ = load_problem(args.problem)
+    obs, prior = load_problem(args.problem)
     for name in ("parse", "dimensions", "independence", "spectral-range"):
         print(f"ok   {name}")
     if prior is not None:

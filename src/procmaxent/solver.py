@@ -55,20 +55,20 @@ optimum where the span is closed under the logarithm, as on the paper's
 worked examples.  A pass whose omega_LS is singular or indefinite
 searches the probe faces first and starts Newton from lam = 0.
 
+The solver has no options: the record alone defines the estimate.
 Newton decides its own outcome (_newton): it converges when the dual
-gradient's max-norm is at most grad_tol, and a run that stops first ends
-the solve, with InfeasibleError when weak duality proves the data
-infeasible, else ConvergenceError.  An estimate is accepted once, when
-it meets every constraint, trace preservation included, to 10 grad_tol,
-and its marginal Tr_2 omega is I/d to the tolerance ChoiState checks.
+gradient's max-norm is at most _GRAD_TOL = 1e-10, and a run that stops
+first, at the latest after _MAX_ITER = 500 iterations, ends the solve,
+with InfeasibleError when weak duality proves the data infeasible, else
+ConvergenceError.  An estimate is accepted once, when it meets every
+constraint, trace preservation included, to 10 _GRAD_TOL, and its
+marginal Tr_2 omega is I/d to the tolerance ChoiState checks.
 The traces against the operator stack (the exponent, the means, the
 residuals) are each one real matrix-vector product on its float view.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -104,21 +104,10 @@ _MULTIPLIER_CAP = 1e5
 _BOUNDARY_TOL = 1e-9
 # Relative tolerance to which a target must be met, as pruning checks it.
 _TARGET_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    grad_tol: float = 1e-10          # infinity norm of the dual gradient
-    max_iter: int = 500
-
-    def __post_init__(self):
-        # bool is an int subclass; a problem file's true is not a count
-        if (isinstance(self.grad_tol, bool) or not isinstance(self.grad_tol, numbers.Real)
-                or not 0 < self.grad_tol < math.inf):
-            raise ValueError(f"grad_tol must be a positive finite number, not {self.grad_tol!r}")
-        if (isinstance(self.max_iter, bool)
-                or not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1):
-            raise ValueError(f"max_iter must be a positive integer, not {self.max_iter!r}")
+# Max-norm of the dual gradient at which Newton has converged.
+_GRAD_TOL = 1e-10
+# Newton iterations per run before it stops unconverged.
+_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -235,12 +224,12 @@ def dual_hessian(point, ops):
     return 0.5 * (H + H.T)
 
 
-def _newton(ops, targets, base, opts, lam=None):
+def _newton(ops, targets, base, lam=None):
     """Minimize the dual from lam (zero when None) to ||g||_inf <=
-    grad_tol, and return (lam, point, iterations).
+    _GRAD_TOL, and return (lam, point, iterations).
 
     A run stops short of that at the multiplier cap, on a failed line
-    search or after max_iter iterations.  Weak duality then decides what
+    search or after _MAX_ITER iterations.  Weak duality then decides what
     the stop means: for every state omega on the frame that meets the
     targets, ln Z(lam) >= S(omega) + Tr(omega base) - lam . x (Gibbs
     variational principle), so D(lam) >= min eig(base), and a lower value
@@ -256,9 +245,9 @@ def _newton(ops, targets, base, opts, lam=None):
     iters = 0
     while True:
         gnorm = np.abs(pt.gradient).max() if n else 0.0
-        if gnorm <= opts.grad_tol:
+        if gnorm <= _GRAD_TOL:
             return lam, pt, iters
-        if iters == opts.max_iter or np.abs(lam).max() > _MULTIPLIER_CAP:
+        if iters == _MAX_ITER or np.abs(lam).max() > _MULTIPLIER_CAP:
             break
         iters += 1
         H = dual_hessian(pt, ops)
@@ -513,7 +502,7 @@ def _probe_face(ops, targets, W, d):
     return dag(Vh[rank:]) if rank else None
 
 
-def _solve_core(ops, targets, labels, frame, base, opts, d=None, ends=None):
+def _solve_core(ops, targets, labels, frame, base, d=None, ends=None):
     """Solve min_lam ln Tr exp(base - sum lam_j X_j) + lam . x on the
     smallest proved face of the state space that holds every feasible
     state.
@@ -570,7 +559,7 @@ def _solve_core(ops, targets, labels, frame, base, opts, d=None, ends=None):
                 searched = True
                 face = _probe_face(ops, targets, W, d)
         if face is None:
-            lam_kept, point, iterations = _newton(kept_ops, kept_targets, f_base, opts, lam_kept)
+            lam_kept, point, iterations = _newton(kept_ops, kept_targets, f_base, lam_kept)
             sigma, w = point.omega, point.p
             ln_z = point.value - float(lam_kept @ kept_targets)
             break
@@ -582,16 +571,16 @@ def _solve_core(ops, targets, labels, frame, base, opts, d=None, ends=None):
                          bool(W.shape[1] < dim or w[0] < _FACE_TOL))
 
 
-def _package(obs, core, opts):
+def _package(obs, core):
     """The estimate of a core solution that meets every constraint, the
-    trace-preservation ones among them, to 10 grad_tol, and whose marginal
+    trace-preservation ones among them, to 10 _GRAD_TOL, and whose marginal
     Tr_2 omega is I/d to CPTP_TOL, as ChoiState checks it; any other is a
     ConvergenceError."""
     sigma = 0.5 * (core.sigma + dag(core.sigma))
     residuals = np.abs(_flat(obs.operators) @ sigma.reshape(-1).view(float) - obs.targets)
     worst = residuals.max(initial=0.0)
     tp_dev = frobenius(partial_trace(sigma, (obs.d, obs.d), "second") - np.eye(obs.d) / obs.d)
-    if worst > 10.0 * opts.grad_tol or tp_dev > CPTP_TOL:
+    if worst > 10.0 * _GRAD_TOL or tp_dev > CPTP_TOL:
         raise ConvergenceError(
             f"converged solution violates constraints (max residual {worst:.3e}, "
             f"Tr_2 omega deviates from I/d by {tp_dev:.3e})"
@@ -608,22 +597,20 @@ def _package(obs, core, opts):
     )
 
 
-def solve_maxent(obs: ObservationLevel, opts: SolverOptions | None = None):
+def solve_maxent(obs: ObservationLevel):
     """Maximum-process-entropy estimate for an observation level.
 
     Returns the exponential-family state omega = exp(-sum lam_j X_j)/Z
     meeting the measured means and the implicit trace-preservation
     constraints; among all such states it has maximal entropy.
     """
-    opts = opts or SolverOptions()
     base = np.zeros((obs.d ** 2, obs.d ** 2), dtype=complex)
-    core = _solve_core(obs.operators, obs.targets, obs.labels, None, base, opts,
+    core = _solve_core(obs.operators, obs.targets, obs.labels, None, base,
                        d=obs.d, ends=obs.ends)
-    return _package(obs, core, opts)
+    return _package(obs, core)
 
 
-def solve_biased(obs: ObservationLevel, prior: PriorChannel,
-                 opts: SolverOptions | None = None):
+def solve_biased(obs: ObservationLevel, prior: PriorChannel):
     """Minimize the Kullback relative entropy S(omega || omega_0) =
     Tr[omega (log omega - log omega_0)] subject to the constraints.
 
@@ -632,15 +619,14 @@ def solve_biased(obs: ObservationLevel, prior: PriorChannel,
     the violated constraint.  With omega_0 = I/d**2 the result coincides
     with solve_maxent.
     """
-    opts = opts or SolverOptions()
     if prior.choi.d != obs.d:
         raise InvariantError("prior channel dimension does not match observation")
     core = _solve_core(obs.operators, obs.targets, obs.labels, prior.frame,
-                       prior.base, opts, d=obs.d, ends=obs.ends)
-    return _package(obs, core, opts)
+                       prior.base, d=obs.d, ends=obs.ends)
+    return _package(obs, core)
 
 
-def boundary_resolve(obs: ObservationLevel, opts: SolverOptions | None = None):
+def boundary_resolve(obs: ObservationLevel):
     """Estimate an observation level whose targets sit on the boundary of
     the feasible set.
 
@@ -648,7 +634,7 @@ def boundary_resolve(obs: ObservationLevel, opts: SolverOptions | None = None):
     the constraints pin the state to; a result that is not flagged as a
     boundary estimate raises BoundaryCaseError.
     """
-    sol = solve_maxent(obs, opts)
+    sol = solve_maxent(obs)
     if not sol.boundary_flag:
         raise BoundaryCaseError(
             "no boundary face: the maximum-entropy solution has full rank"
@@ -656,15 +642,14 @@ def boundary_resolve(obs: ObservationLevel, opts: SolverOptions | None = None):
     return sol
 
 
-def solve_state_maxent(constraints, dim, opts: SolverOptions | None = None):
+def solve_state_maxent(constraints, dim):
     """Plain state-space MaxEnt (no trace-preservation constraints).
 
     constraints is a list of Constraint objects on a dim-dimensional
     space.  Returns (rho, multipliers).
     """
-    opts = opts or SolverOptions()
     ops = np.array([c.operator for c in constraints]).reshape(-1, dim, dim)
     targets = np.array([c.target for c in constraints])
     labels = [c.label for c in constraints]
-    core = _solve_core(ops, targets, labels, None, np.zeros((dim, dim), dtype=complex), opts)
+    core = _solve_core(ops, targets, labels, None, np.zeros((dim, dim), dtype=complex))
     return core.sigma, core.lam

@@ -65,6 +65,83 @@ def read_choi(doc):
     return re + 1j * im
 
 
+def entry_problem(d=2, **fields):
+    """A problem file with one ancilla-free entry; a field set to None is dropped."""
+    entry = {"kind": "ancilla_free", "observable": "Z", "mean": 0.5,
+             "state": {"bloch": [0.0, 0.0, 0.0]}, **fields}
+    return {"dimension": d,
+            "constraints": [{k: v for k, v in entry.items() if v is not None}]}
+
+
+def kraus_channel(*shapes):
+    return {"dimension": 2, "kind": "kraus",
+            "kraus": [{"re": np.eye(*shape).tolist()} for shape in shapes]}
+
+
+CHANNEL = f"{FIXTURES}/channel_diag.json"
+DESIGN = f"{FIXTURES}/design_ic.json"
+WIDE_KRAUS = kraus_channel((3, 3))
+
+# (argv, documents written as {name}.json and named {name} in argv, message fragment)
+MALFORMED = [
+    pytest.param(["entropy", "{channel}"], {"channel": {"dimension": 2, "choi": {"im": [[0]]}}},
+                 "expected an object with 're'", id="matrix-without-re"),
+    pytest.param(["estimate", "{problem}"],
+                 {"problem": entry_problem(state={"re": [[1, 0], [0, 0]], "im": [[0]]})},
+                 "'re' and 'im' must be equal-shape", id="re-im-shapes"),
+    pytest.param(["estimate", "{problem}"], {"problem": entry_problem(state="zero")},
+                 "expected {'bloch': ...} or a matrix object", id="state-type"),
+    pytest.param(["estimate", "{problem}"], {"problem": entry_problem(observable=5)},
+                 "expected a Pauli string or a matrix object", id="observable-type"),
+    pytest.param(["estimate", "{problem}"], {"problem": entry_problem(kind=None)},
+                 "expected an object with a string 'kind'", id="no-kind"),
+    pytest.param(["estimate", "{problem}"], {"problem": entry_problem(kind=["x"])},
+                 "expected an object with a string 'kind'", id="list-kind"),
+    pytest.param(["simulate", CHANNEL, "{design}"],
+                 {"design": {"dimension": 2, "measurements": [{"kind": ["raw"]}]}},
+                 "expected an object with a string 'kind'", id="list-kind-design"),
+    pytest.param(["estimate", "{problem}"],
+                 {"problem": entry_problem(3, kind="raw", operator="2*rhoT(x)Z")},
+                 "rhoT shorthand needs d=2", id="rhoT-at-d3"),
+    pytest.param(["estimate", "{problem}"], {"problem": entry_problem(kind="tomography")},
+                 "unknown kind 'tomography'", id="unknown-kind"),
+    pytest.param(["entropy", "{channel}"], {"channel": {"kind": "kraus", "kraus": []}},
+                 "missing 'dimension'", id="channel-without-dimension"),
+    pytest.param(["entropy", "{channel}"], {"channel": kraus_channel()},
+                 "empty 'kraus' list", id="empty-kraus"),
+    pytest.param(["entropy", "{channel}"], {"channel": {"dimension": 2, "kind": "ptm"}},
+                 "unknown channel kind 'ptm'", id="unknown-channel-kind"),
+    pytest.param(["entropy", "{channel}"], {"channel": [1, 2]},
+                 "expected a channel object", id="channel-not-an-object"),
+    pytest.param(["simulate", CHANNEL, "{design}"],
+                 {"design": {"dimension": 2, "measurements": []}},
+                 "design lists no measurements", id="empty-design"),
+    pytest.param(["simulate", CHANNEL, "{design}"],
+                 {"design": entry_problem(3, state={"re": np.eye(3).tolist()},
+                                          observable={"re": np.eye(3).tolist()})},
+                 "design dimension 3 does not match channel dimension 2", id="design-dimension"),
+    pytest.param(["simulate", CHANNEL, "{design}", "--shots", "10"],
+                 {"design": {"dimension": 2, "measurements": [
+                     {"kind": "raw", "operator": {"re": np.diag([4, 0, 0, 0]).tolist()}}]}},
+                 "outside [-1, 1]", id="shots-mean-outside"),
+    pytest.param(["simulate", CHANNEL, DESIGN, "--shots", "100000000000000000000"], {},
+                 "exceeds 2**63 - 1", id="shots-overflow"),
+    pytest.param(["entropy", "{channel}"], {"channel": WIDE_KRAUS},
+                 "Kraus operators must be 2 x 2", id="kraus-3x3"),
+    pytest.param(["entropy", "{channel}"], {"channel": kraus_channel((3, 2))},
+                 "Kraus operators must be 2 x 2", id="kraus-3x2"),
+    pytest.param(["entropy", "{channel}"], {"channel": kraus_channel((2, 2), (1, 1))},
+                 "Kraus operators must be 2 x 2", id="kraus-mixed"),
+    pytest.param(["simulate", "{channel}", DESIGN], {"channel": WIDE_KRAUS},
+                 "Kraus operators must be 2 x 2", id="kraus-simulate"),
+    pytest.param(["estimate", f"{FIXTURES}/o1_mixed.json", "--biased", "{channel}"],
+                 {"channel": WIDE_KRAUS}, "Kraus operators must be 2 x 2", id="kraus-biased"),
+    pytest.param(["estimate", "{problem}"],
+                 {"problem": {**entry_problem(), "prior": WIDE_KRAUS}},
+                 "Kraus operators must be 2 x 2", id="kraus-prior"),
+]
+
+
 def test_cli_import_does_not_load_scipy():
     # Every launch imports procmaxent.cli; scipy is needed only by one oracle.
     env = dict(os.environ)
@@ -78,7 +155,7 @@ def test_cli_import_does_not_load_scipy():
 
 class TestParsing:
     def test_load_problem_fixture(self):
-        obs, prior, opts = load_problem(f"{FIXTURES}/o1_mixed.json")
+        obs, prior = load_problem(f"{FIXTURES}/o1_mixed.json")
         assert obs.d == 2 and len(obs.constraints) == 1 and prior is None
 
     def test_load_channel_kraus(self):
@@ -108,7 +185,7 @@ class TestParsing:
             {"kind": "ancilla_free", "state": matrix_doc(rho),
              "observable": matrix_doc(F), "mean": 0.0},
         ]})
-        obs, _, _ = load_problem(path)
+        obs, _ = load_problem(path)
         assert np.allclose(obs.operators[0],
                            reduce_ancilla_assisted(bell, np.kron(PAULI_Z, PAULI_Z), 2))
         assert np.allclose(obs.operators[1], reduce_ancilla_free(rho, F))
@@ -202,6 +279,13 @@ class TestParsing:
         path.write_text("{not json")
         assert main(["estimate", str(path)]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("argv, docs, fragment", MALFORMED)
+    def test_malformed_document_exit_code(self, tmp_path, capsys, argv, docs, fragment):
+        paths = {name: write_json(tmp_path, f"{name}.json", doc) for name, doc in docs.items()}
+        assert main([arg.format(**paths) for arg in argv]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("procmaxent: error:") and fragment in err
+
 
 class TestEstimate:
     def test_o1_mixed(self, tmp_path, capsys):
@@ -292,46 +376,39 @@ class TestEstimate:
 
 
 class TestSolverBlock:
-    """The problem file's 'solver' object sets grad_tol and max_iter."""
+    """The solver has no options: Newton's stop and budget are the module
+    constants _GRAD_TOL and _MAX_ITER, which these tests patch, and a
+    problem file's 'solver' object is an unknown key."""
 
-    def problem_with(self, tmp_path, solver):
-        doc = json.loads(pathlib.Path(f"{FIXTURES}/o1_mixed.json").read_text())
-        doc["solver"] = solver
-        return write_json(tmp_path, "problem.json", doc)
-
-    def test_iteration_budget_exit_code(self, tmp_path, capsys):
+    def test_iteration_budget_exit_code(self, tmp_path, capsys, monkeypatch):
         # a record that Newton cannot finish in one step from its start
         specs, obs = two_probe_qubit_record(0)
-        doc = record_document(2, specs, obs.targets)
+        path = write_json(tmp_path, "record.json", record_document(2, specs, obs.targets))
         out = str(tmp_path / "out.json")
-        assert main(["estimate", write_json(tmp_path, "record.json", doc), "-o", out]) == EXIT_OK
+        assert main(["estimate", path, "-o", out]) == EXIT_OK
         assert json.loads(pathlib.Path(out).read_text())["diagnostics"]["iterations"] >= 2
-        doc["solver"] = {"max_iter": 1, "grad_tol": 1e-14}
-        path = write_json(tmp_path, "problem.json", doc)
+        monkeypatch.setattr("procmaxent.solver._MAX_ITER", 1)
         assert main(["estimate", path]) == EXIT_NO_CONVERGENCE
 
-    def test_loose_grad_tol_exit_code(self, tmp_path, capsys):
-        # exact means of a rank-1 qutrit channel, 2 probes: at grad_tol =
+    def test_loose_grad_tol_exit_code(self, tmp_path, capsys, monkeypatch):
+        # exact means of a rank-1 qutrit channel, 2 probes: at _GRAD_TOL =
         # 1e-8 the estimate's marginal misses I/d by 4.7e-8, which is no
         # convergence (exit 4), not an infeasible record (exit 3)
         rng = np.random.default_rng(5)
         truth = random_channel(3, 1, rng)
         specs = probe_tomography(3, 2, rng)
         doc = record_document(3, specs, simulate_means(truth, specs).targets)
-        doc["solver"] = {"grad_tol": 1e-8}
+        monkeypatch.setattr("procmaxent.solver._GRAD_TOL", 1e-8)
         assert main(["estimate", write_json(tmp_path, "rank1.json", doc)]) == EXIT_NO_CONVERGENCE
 
     def test_unknown_key_exit_code(self, tmp_path, capsys):
-        path = self.problem_with(tmp_path, {"multiplier_cap": 5})
-        assert main(["estimate", path]) == EXIT_PARSE
-        assert "multiplier_cap" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("solver", [{"max_iter": 2.5}, {"max_iter": True},
-                                        {"grad_tol": "1e-8"}])
-    def test_mistyped_value_exit_code(self, tmp_path, capsys, solver):
-        path = self.problem_with(tmp_path, solver)
-        assert main(["estimate", path]) == EXIT_PARSE
-        assert next(iter(solver)) in capsys.readouterr().err
+        # a file written for the old options must not silently change meaning
+        doc = json.loads(pathlib.Path(f"{FIXTURES}/o1_mixed.json").read_text())
+        doc["solver"] = {"grad_tol": 1e-12, "max_iter": 200}
+        path = write_json(tmp_path, "problem.json", doc)
+        for command in ("estimate", "check"):
+            assert main([command, path]) == EXIT_PARSE
+            assert "unknown key 'solver'" in capsys.readouterr().err
 
 
 class TestSimulate:

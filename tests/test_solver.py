@@ -13,7 +13,6 @@ from procmaxent import (
     ObservationLevel,
     PriorChannel,
     ProcessMeasurementSpec,
-    SolverOptions,
     bloch_affine_map,
     boundary_resolve,
     choi_from_apply,
@@ -58,24 +57,6 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "demos" / "fixtures"
 
 def obs_single(operator, target, label="m"):
     return ObservationLevel(d=2, constraints=(Constraint(operator, target, label),))
-
-
-class TestSolverOptions:
-    def test_defaults(self):
-        opts = SolverOptions()
-        assert opts.grad_tol == 1e-10 and opts.max_iter == 500
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            SolverOptions(grad_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverOptions(max_iter=0)
-
-    @pytest.mark.parametrize("value", [np.inf, np.nan])
-    def test_rejects_non_finite_grad_tol(self, value):
-        # an infinite tolerance would accept the starting point unsolved
-        with pytest.raises(ValueError, match="grad_tol"):
-            SolverOptions(grad_tol=value)
 
 
 class TestDualEval:
@@ -219,7 +200,7 @@ class TestSolveMaxent:
         with pytest.raises(InfeasibleError) as exc:
             _solve_core(np.array([X, X]), np.array([0.2, 0.4]),
                         ["a", "b"], np.eye(4, dtype=complex),
-                        np.zeros((4, 4), dtype=complex), SolverOptions())
+                        np.zeros((4, 4), dtype=complex))
         assert exc.value.label == "b"
 
     def test_jointly_infeasible_targets(self):
@@ -301,12 +282,13 @@ class TestSolveMaxent:
         assert sol.boundary_flag and sol.residuals.max() <= 1e-9
         assert np.array_equal(boundary_resolve(obs).choi.matrix, sol.choi.matrix)
 
-    def test_iteration_budget(self):
+    def test_iteration_budget(self, monkeypatch):
         # a record that Newton cannot finish in one step from its start
         _, obs = two_probe_qubit_record(0)
         assert solve_maxent(obs).iterations >= 2
+        monkeypatch.setattr(solver_module, "_MAX_ITER", 1)
         with pytest.raises(ConvergenceError):
-            solve_maxent(obs, SolverOptions(max_iter=1, grad_tol=1e-14))
+            solve_maxent(obs)
 
     def test_multipliers_label_alignment(self):
         obs = obs_single(reduce_ancilla_free(0.5 * ID2, PAULI_Z), 0.5, label="m")
@@ -368,8 +350,8 @@ class TestFeasibleStart:
         ("v_zero_to_zero", _state_map(np.diag([1.0, 0.0]))),
     ])
     def test_paper_records_start_at_the_estimate(self, fixture, expected):
-        obs, _, opts = load_problem(f"{FIXTURES}/{fixture}.json")
-        sol = solve_maxent(obs, opts)
+        obs, _ = load_problem(f"{FIXTURES}/{fixture}.json")
+        sol = solve_maxent(obs)
         assert sol.iterations == 0
         assert frobenius(sol.choi.matrix - expected) < 1e-8
 
@@ -401,8 +383,7 @@ class TestFeasibleStart:
                                      obs.operators, obs.targets, base)[2]
         assert start is not None
         entropies = [
-            spectrum_entropy(_newton(obs.operators, obs.targets, base,
-                                     SolverOptions(), lam)[1].p)
+            spectrum_entropy(_newton(obs.operators, obs.targets, base, lam)[1].p)
             for lam in (None, start)
         ]
         assert abs(entropies[0] - entropies[1]) <= 1e-9
@@ -509,14 +490,15 @@ class TestExactData:
     def test_missed_pruned_target_is_not_infeasible(self, seed):
         self.check_exact_record(3, 1, 2, np.random.default_rng(seed))
 
-    # With grad_tol = 1e-8 the residuals pass at 1e-7 while the estimate's
+    # With _GRAD_TOL = 1e-8 the residuals pass at 1e-7 while the estimate's
     # marginal misses I/d by 4.7e-8; that once raised NotAChannelError.
-    def test_loose_grad_tol_is_not_infeasible(self):
+    def test_loose_grad_tol_is_not_infeasible(self, monkeypatch):
         rng = np.random.default_rng(5)
         truth = random_channel(3, 1, rng)
         obs = simulate_means(truth, probe_tomography(3, 2, rng))
+        monkeypatch.setattr(solver_module, "_GRAD_TOL", 1e-8)
         try:
-            sol = solve_maxent(obs, SolverOptions(grad_tol=1e-8))
+            sol = solve_maxent(obs)
         except ConvergenceError:
             return
         assert is_cptp(sol.choi.matrix).trace_preserving
