@@ -183,8 +183,8 @@ def _dimension(doc, what):
     return d
 
 
-def _load_specs(path, require_mean):
-    """(d, specs, doc) of a problem or design file, whose entries sit
+def _load_entries(path):
+    """(d, entries, doc) of a problem or design file, whose entries sit
     under 'measurements', else under 'constraints'."""
     doc = _load_json(path)
     if not isinstance(doc, dict) or "dimension" not in doc:
@@ -195,15 +195,16 @@ def _load_specs(path, require_mean):
         raise ParseError(f"{path}: expected 'measurements' or 'constraints'")
     if not isinstance(doc[key], list):
         raise ParseError(f"{path}: '{key}' must be a list, not {type(doc[key]).__name__}")
-    return d, [_parse_spec(entry, d, i, require_mean)
-               for i, entry in enumerate(doc[key])], doc
+    return d, doc[key], doc
 
 
 def load_problem(path):
     """Parse a problem file into (ObservationLevel, prior)."""
-    d, specs, doc = _load_specs(path, require_mean=True)
+    d, entries, doc = _load_entries(path)
     if "solver" in doc:
         raise ParseError(f"{path}: unknown key 'solver': the solver has no options")
+    specs = [_parse_spec(entry, d, i, require_mean=True)
+             for i, entry in enumerate(entries)]
     cons = tuple(
         Constraint(spec.reduce(d), spec.mean, label=spec.label) for spec in specs
     )
@@ -241,11 +242,18 @@ def load_channel(path):
     return _channel_from_doc(doc)
 
 
-def load_design(path):
-    d, specs, doc = _load_specs(path, require_mean=False)
-    if not specs:
+def load_design(path, d):
+    """The specs of a design file for a channel of dimension d; the
+    dimensions are compared before any spec is built and checked."""
+    design_d, entries, _ = _load_entries(path)
+    if not entries:
         raise ParseError(f"{path}: design lists no measurements")
-    return d, specs, doc
+    if design_d != d:
+        raise ParseError(
+            f"design dimension {design_d} does not match channel dimension {d}"
+        )
+    return [_parse_spec(entry, d, i, require_mean=False)
+            for i, entry in enumerate(entries)]
 
 
 # ---------------------------------------------------------------- output
@@ -307,11 +315,7 @@ def cmd_simulate(args):
     if args.shots >= 2 ** 63:
         raise ParseError(f"--shots {args.shots} exceeds 2**63 - 1, the most that numpy draws")
     choi = load_channel(args.channel)
-    d, specs, _ = load_design(args.design)
-    if d != choi.d:
-        raise ParseError(
-            f"design dimension {d} does not match channel dimension {choi.d}"
-        )
+    specs = load_design(args.design, choi.d)
     obs = simulate_means(choi, specs)
     # one stream for the run, so each measurement draws its own shots
     rng = np.random.default_rng(args.seed)
@@ -332,7 +336,7 @@ def cmd_simulate(args):
             entry["state"] = _matrix_to_json(spec.state)
             entry["observable"] = _matrix_to_json(spec.observable)
         out_cons.append(entry)
-    doc = {"dimension": d, "constraints": out_cons}
+    doc = {"dimension": choi.d, "constraints": out_cons}
     if args.shots:
         doc["shots"] = args.shots
         doc["seed"] = args.seed

@@ -49,7 +49,8 @@ def check_hermitian(A, name="operator"):
         raise DimensionError(f"{name} must be a square matrix, got shape {A.shape}")
     diff = A - A.conj().T
     dev2 = np.vdot(diff, diff).real
-    if dev2 > HERMITICITY_TOL ** 2 * max(1.0, np.vdot(A, A).real):
+    # dev2 > tol**2 max(1, |A|**2), with |A| taken only when dev2 > tol**2
+    if dev2 > HERMITICITY_TOL ** 2 and dev2 > HERMITICITY_TOL ** 2 * np.vdot(A, A).real:
         raise InvariantError(f"{name} is not Hermitian (deviation {np.sqrt(dev2):.3e})")
     return A
 
@@ -59,7 +60,8 @@ def check_density(rho, name="state"):
     rho = check_hermitian(rho, name=name)
     tr = rho.trace()
     if abs(tr - 1.0) > DENSITY_TRACE_TOL:
-        raise InvariantError(f"{name} has trace {tr:.12g}, expected 1")
+        # rho is Hermitian, so its trace is real to round-off
+        raise InvariantError(f"{name} has trace {tr.real:.12g}, expected 1")
     w = np.linalg.eigvalsh(rho)
     if w[0] < -DENSITY_EIG_TOL:
         raise InvariantError(f"{name} has negative eigenvalue {w[0]:.3e}")

@@ -5,7 +5,10 @@ measurement records from a known channel.
 The reduction theorem: probing a channel with test state rho and
 measuring F is equivalent to measuring d rho^T (x) F on the Choi state;
 the ancilla-assisted generalization routes the test state through the
-map that prepares it from Psi+.
+map that prepares it from Psi+.  A ProcessMeasurementSpec validates its
+test state and observable once, when it is built, so a record reduced
+again (a design swept over many channels, a record estimated again)
+pays only the formula.
 """
 
 from __future__ import annotations
@@ -262,7 +265,13 @@ class ObservationLevel:
 @dataclass(frozen=True)
 class ProcessMeasurementSpec:
     """One process measurement: how the channel was probed and what was
-    measured.  kind is 'ancilla_free', 'ancilla_assisted' or 'raw'."""
+    measured.  kind is 'ancilla_free', 'ancilla_assisted' or 'raw'.
+
+    A spec is checked once, when it is built: the test state must be a
+    density matrix and the observable Hermitian, of the state's shape; a
+    raw operator must be Hermitian.  The spec keeps read-only complex
+    copies of its arrays, so reduce() only applies the formula.
+    """
 
     kind: str
     state: np.ndarray | None = None       # test state (dim d, or D*d if assisted)
@@ -271,26 +280,38 @@ class ProcessMeasurementSpec:
     mean: float | None = None
     label: str = ""
 
-    def reduce(self, d):
-        """Constraint operator on the Choi state for system dimension d."""
+    def __post_init__(self):
         if self.kind == "raw":
-            op = check_hermitian(self.operator, name=f"raw operator {self.label!r}")
-            if op.shape != (d * d, d * d):
+            arrays = {"operator": check_hermitian(
+                self.operator, name=f"raw operator {self.label!r}")}
+        elif self.kind in ("ancilla_free", "ancilla_assisted"):
+            state, observable = _checked_pair(self.state, self.observable)
+            arrays = {"state": state, "observable": observable}
+        else:
+            raise ValueError(f"unknown measurement kind {self.kind!r}")
+        for name, value in arrays.items():
+            value = np.array(value)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def reduce(self, d):
+        """Constraint operator on the Choi state for system dimension d;
+        an ancilla-free spec takes d from its test state."""
+        if self.kind == "raw":
+            if self.operator.shape != (d * d, d * d):
                 raise DimensionError(
-                    f"raw operator {self.label!r} has shape {op.shape}"
+                    f"raw operator {self.label!r} has shape {self.operator.shape}"
                 )
-            return op
+            return self.operator
         if self.kind == "ancilla_free":
-            return reduce_ancilla_free(self.state, self.observable)
-        if self.kind == "ancilla_assisted":
-            return reduce_ancilla_assisted(self.state, self.observable, d)
-        raise ValueError(f"unknown measurement kind {self.kind!r}")
+            d = self.state.shape[0]
+        return _reduce(self.state, self.observable, d)
 
 
 def reduce_ancilla_free(rho, F):
     """Constraint operator d rho^T (x) F for an ancilla-free measurement:
     the ancilla-assisted one with a one-dimensional ancilla."""
-    rho = check_density(rho, name="test state")
+    rho, F = _checked_pair(rho, F)
     return _reduce(rho, F, rho.shape[0])
 
 
@@ -306,16 +327,23 @@ def reduce_ancilla_assisted(Omega, F, d):
 
         X[(k y), (j x)] = d sum_ab Omega[(a j), (b k)] F[(b y), (a x)].
     """
-    return _reduce(check_density(Omega, name="test state"), F, d)
+    return _reduce(*_checked_pair(Omega, F), d)
 
 
-def _reduce(Omega, F, d):
-    """reduce_ancilla_assisted for a validated test state Omega."""
+def _checked_pair(Omega, F):
+    """The test state and the observable of a measurement, validated, as
+    complex arrays."""
+    Omega = check_density(Omega, name="test state")
     F = check_hermitian(F, name="observable")
     if Omega.shape != F.shape:
         raise DimensionError(
             f"test state {Omega.shape} and observable {F.shape} differ in dimension"
         )
+    return Omega, F
+
+
+def _reduce(Omega, F, d):
+    """reduce_ancilla_assisted for a validated test state and observable."""
     Dd = Omega.shape[0]
     if Dd % d != 0:
         raise DimensionError(f"dimension {Dd} does not factor as D*{d}")

@@ -48,12 +48,13 @@ is positive, singular (its support is then the next face) or of full
 rank (it is then the estimate, without Newton).  On any other frame a
 positive definite omega_LS is a feasible state of full rank, so no
 proper face holds the feasible set: the pass skips the probe-face
-search and runs Newton.  Both take their multipliers from one Gram
-solve, the projection of base - log omega_LS onto the span: the final
-ones on a determined pass, Newton's start on any other, which is the
-optimum where the span is closed under the logarithm, as on the paper's
-worked examples.  A pass whose omega_LS is singular or indefinite
-searches the probe faces first and starts Newton from lam = 0.
+search and runs Newton.  Both take their multipliers from the
+projection of base - log omega_LS onto the span: the final ones on a
+determined pass, by a QR factorization of the span, Newton's start on
+any other, by one Gram solve, which is the optimum where the span is
+closed under the logarithm, as on the paper's worked examples.  A pass
+whose omega_LS is singular or indefinite searches the probe faces first
+and starts Newton from lam = 0.
 
 The solver has no options: the record alone defines the estimate.
 Newton decides its own outcome (_newton): it converges when the dual
@@ -428,16 +429,16 @@ def _least_squares_state(f_ops, targets, kept_ops, kept_targets, base):
     eigenvalue exceeds _FACE_TOL, everything is None.
 
     Otherwise a state of full rank on the frame is feasible, so no proper
-    face holds the feasible set, and one Gram solve projects base - log
-    omega_LS onto the span, ln_z I + sum_kept lam_j X_j, with w the
-    ascending eigenvalues of omega_LS.  A determined omega_LS is the
-    estimate and is returned as omega; on any other pass omega is None
-    and lam is Newton's start, the optimum where log omega_LS lies in the
-    span.
+    face holds the feasible set, and base - log omega_LS is projected onto
+    the span, ln_z I + sum_kept lam_j X_j, with w the ascending eigenvalues
+    of omega_LS.  A determined omega_LS is the estimate and is returned as
+    omega, with the multipliers from a QR factorization F^T = QR, since
+    the Gram matrix squares the condition number of the span; on any
+    other pass omega is None and lam, from one Gram solve, is Newton's
+    start, the optimum where log omega_LS lies in the span.
     """
     k = base.shape[0]
     F = _flat(np.concatenate((np.eye(k, dtype=complex)[None], kept_ops)))
-    G = F @ F.T
     omega = None
     if len(kept_ops) == k * k - 1:
         omega, w, V, (face,) = _determined_images(f_ops[None], targets[None],
@@ -446,6 +447,7 @@ def _least_squares_state(f_ops, targets, kept_ops, kept_targets, base):
             return face, None, None, None, None
         omega, w, V = omega[0], w[0], V[0]
     else:
+        G = F @ F.T
         vec = np.linalg.solve(G, np.concatenate(((1.0,), kept_targets))) @ F
         tol = _TARGET_TOL * np.maximum(1.0, np.abs(kept_targets))
         if np.any(np.abs(F[1:] @ vec - kept_targets) > tol):
@@ -453,8 +455,12 @@ def _least_squares_state(f_ops, targets, kept_ops, kept_targets, base):
         w, V = np.linalg.eigh(vec.view(complex).reshape(k, k))
         if w[0] <= _FACE_TOL:
             return None, None, None, None, None
-    B = base - (V * np.log(w)) @ dag(V)
-    coef = np.linalg.solve(G, F @ B.reshape(-1).view(float))
+    b = (base - (V * np.log(w)) @ dag(V)).reshape(-1).view(float)
+    if omega is None:
+        coef = np.linalg.solve(G, F @ b)
+    else:
+        Q, R = np.linalg.qr(F.T)
+        coef = np.linalg.solve(R, Q.T @ b)
     return None, coef[0], coef[1:], omega, w
 
 

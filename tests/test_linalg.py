@@ -11,7 +11,16 @@ from procmaxent import (
     partial_trace,
     von_neumann_entropy,
 )
-from procmaxent.linalg import ID2, PAULI_X, PAULI_Y, PAULI_Z, dag, frobenius, kron
+from procmaxent.linalg import (
+    ID2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    check_density,
+    dag,
+    frobenius,
+    kron,
+)
 
 from conftest import random_hermitian, random_state, random_unitary
 
@@ -140,6 +149,13 @@ class TestPartialTrace:
     def test_bad_split(self):
         with pytest.raises(DimensionError):
             partial_trace(np.eye(6), (2, 2), "first")
+
+
+class TestCheckDensity:
+    def test_trace_message_is_real(self):
+        # the trace of a Hermitian matrix is reported as a real number
+        with pytest.raises(InvariantError, match=r"^state has trace 3, expected 1$"):
+            check_density(np.eye(3))
 
 
 class TestExpectation:

@@ -295,6 +295,80 @@ class TestReduceAncillaAssisted:
             reduce_ancilla_assisted(random_state(3, rng), np.eye(3), 2)
 
 
+_NOT_HERMITIAN = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+class TestProcessMeasurementSpec:
+    """A spec is checked when it is built, with the errors reduce() raised
+    when it checked its inputs on every call."""
+
+    @pytest.mark.parametrize("kwargs, error, message", [
+        pytest.param(dict(kind="ancilla_free", state=np.diag([1.5, -0.5]), observable=PAULI_Z),
+                     InvariantError, r"^test state has negative eigenvalue -5\.000e-01$",
+                     id="negative-state"),
+        pytest.param(dict(kind="ancilla_assisted", state=np.ones(4) / 4, observable=PAULI_Z),
+                     DimensionError, r"^test state must be a square matrix, got shape \(4,\)$",
+                     id="vector-state"),
+        pytest.param(dict(kind="ancilla_free", state=0.5 * ID2, observable=_NOT_HERMITIAN),
+                     InvariantError, r"^observable is not Hermitian \(deviation 1\.414e\+00\)$",
+                     id="non-hermitian-observable"),
+        pytest.param(dict(kind="ancilla_assisted", state=0.5 * ID2, observable=np.eye(4)),
+                     DimensionError,
+                     r"^test state \(2, 2\) and observable \(4, 4\) differ in dimension$",
+                     id="unequal-shapes"),
+        pytest.param(dict(kind="raw", operator=_NOT_HERMITIAN, label="r"), InvariantError,
+                     r"^raw operator 'r' is not Hermitian \(deviation 1\.414e\+00\)$",
+                     id="non-hermitian-raw"),
+        pytest.param(dict(kind="tomography", state=0.5 * ID2, observable=PAULI_Z),
+                     ValueError, r"^unknown measurement kind 'tomography'$", id="unknown-kind"),
+    ])
+    def test_construction_errors(self, kwargs, error, message):
+        with pytest.raises(error, match=message):
+            ProcessMeasurementSpec(**kwargs)
+        # the public reductions of raw arrays check them the same way
+        args = kwargs.get("state"), kwargs.get("observable")
+        reductions = {"ancilla_free": lambda: reduce_ancilla_free(*args),
+                      "ancilla_assisted": lambda: reduce_ancilla_assisted(*args, 2)}
+        if kwargs["kind"] in reductions:
+            with pytest.raises(error, match=message):
+                reductions[kwargs["kind"]]()
+
+    def test_reduce_checks_dimension(self, rng):
+        with pytest.raises(DimensionError, match=r"^raw operator 'r' has shape \(4, 4\)$"):
+            ProcessMeasurementSpec("raw", operator=np.eye(4), label="r").reduce(3)
+        spec = ProcessMeasurementSpec("ancilla_assisted", state=random_state(3, rng),
+                                      observable=np.eye(3))
+        with pytest.raises(DimensionError, match=r"^dimension 3 does not factor as D\*2$"):
+            spec.reduce(2)
+
+    def test_arrays_are_read_only_copies(self, rng):
+        rho, F, X = random_state(2, rng), PAULI_Z.copy(), np.kron(ID2, PAULI_X)
+        free = ProcessMeasurementSpec("ancilla_free", state=rho, observable=F)
+        raw = ProcessMeasurementSpec("raw", operator=X)
+        before = free.reduce(2).copy(), raw.reduce(2).copy()
+        for a in (free.state, free.observable, raw.operator):
+            assert a.dtype == complex and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+        rho[:] = 0.0
+        F[:] = 0.0
+        X[:] = 0.0
+        assert np.array_equal(free.reduce(2), before[0])
+        assert np.array_equal(raw.reduce(2), before[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([2, 3]), D=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_reduce_is_the_formula(self, d, D, seed):
+        rng = np.random.default_rng(seed)
+        Omega, F = random_state(D * d, rng), random_hermitian(D * d, rng)
+        spec = ProcessMeasurementSpec("ancilla_assisted", state=Omega, observable=F)
+        assert np.array_equal(spec.reduce(d), reduce_ancilla_assisted(Omega, F, d))
+        if D == 1:
+            spec = ProcessMeasurementSpec("ancilla_free", state=Omega, observable=F)
+            assert np.array_equal(spec.reduce(d), reduce_ancilla_free(Omega, F))
+
+
 class TestSimulateMeans:
     def test_exact_means(self, rng):
         choi = random_channel(2, 2, rng)

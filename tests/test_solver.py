@@ -416,14 +416,17 @@ class TestDeterminedData:
         rank = data.draw(st.integers(1, d * d), label="rank")
         self.check_complete_record(d, rank, np.random.default_rng(seed))
 
-    # Draws whose residuals exceeded 1e-12: solving only the constraints
-    # kept on the face left 2.3e-11 on [3, 4, 46], and the support of the
-    # first solve without the refit left 1.0e-12 on [3, 4, 175] and 3.1e-11
-    # on [3, 4, 1052] (ill-conditioned probes).
-    @pytest.mark.parametrize("seed", [[3, 4, 46], [3, 4, 175], [3, 4, 1052]])
+    # (d, rank, seed) of draws that failed.  Residuals exceeded 1e-12:
+    # solving only the constraints kept on the face left 2.3e-11 on [3, 4,
+    # 46], and the support of the first solve without the refit left
+    # 1.0e-12 on [3, 4, 175] and 3.1e-11 on [3, 4, 1052] (ill-conditioned
+    # probes).  On 17372965 the multipliers from the Gram matrix, whose
+    # condition number was 6.7e10, rebuilt the estimate only to 1.6e-7.
+    @pytest.mark.parametrize("seed", [(3, 4, [3, 4, 46]), (3, 4, [3, 4, 175]),
+                                      (3, 4, [3, 4, 1052]), (3, 9, 17372965)])
     def test_complete_record_regressions(self, seed):
-        d, rank, _ = seed
-        self.check_complete_record(d, rank, np.random.default_rng(seed))
+        d, rank, entropy = seed
+        self.check_complete_record(d, rank, np.random.default_rng(entropy))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_biased_on_determined_prior_support(self, rng, d):
