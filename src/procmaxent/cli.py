@@ -263,8 +263,11 @@ def _dump_json(doc, path):
     if path in (None, "-"):
         sys.stdout.write(text + "\n")
     else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def result_document(solution, d):
@@ -302,7 +305,13 @@ def result_document(solution, d):
 def cmd_estimate(args):
     obs, prior = load_problem(args.problem)
     if args.biased:
-        prior = PriorChannel(load_channel(args.biased))
+        choi = load_channel(args.biased)
+        if choi.d != obs.d:
+            raise ParseError(
+                f"{args.biased}: prior channel dimension {choi.d} does not match "
+                f"problem dimension {obs.d}"
+            )
+        prior = PriorChannel(choi)
     if prior is not None:
         solution = solve_biased(obs, prior)
     else:

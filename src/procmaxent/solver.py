@@ -49,12 +49,12 @@ rank (it is then the estimate, without Newton).  On any other frame a
 positive definite omega_LS is a feasible state of full rank, so no
 proper face holds the feasible set: the pass skips the probe-face
 search and runs Newton.  Both take their multipliers from the
-projection of base - log omega_LS onto the span: the final ones on a
-determined pass, by a QR factorization of the span, Newton's start on
-any other, by one Gram solve, which is the optimum where the span is
-closed under the logarithm, as on the paper's worked examples.  A pass
-whose omega_LS is singular or indefinite searches the probe faces first
-and starts Newton from lam = 0.
+projection of base - log omega_LS onto the span, by one Gram solve
+refined once: the final ones on a determined pass, Newton's start on
+any other, which is the optimum where the span is closed under the
+logarithm, as on the paper's worked examples.  A pass whose omega_LS
+is singular or indefinite searches the probe faces first and starts
+Newton from lam = 0.
 
 The solver has no options: the record alone defines the estimate.
 Newton decides its own outcome (_newton): it converges when the dual
@@ -384,7 +384,11 @@ def _determined_images(ops, targets, what):
     ascending eigenvalues w and eigenvectors V of each sigma_g, and the
     support of each singular sigma_g (None where sigma_g has full rank).
     One batched solve and one batched eigh serve every g; a state with an
-    eigenvalue below -DENSITY_EIG_TOL is infeasible.
+    eigenvalue below -DENSITY_EIG_TOL is infeasible.  Each sigma_g of
+    positive trace is divided by it, so Tr sigma_g = 1 holds exactly: a
+    target within tolerance past its spectral end pins the state to a
+    face on which its operator is x I, and the fit would spread that
+    excess into the trace, which check_density holds to 1e-10.
 
     sigma_g meets every X_gj in the least-squares sense, not only an
     independent subset: on a face the kept operators alone can be
@@ -396,6 +400,8 @@ def _determined_images(ops, targets, what):
     """
     k = ops.shape[-1]
     sigma = _fit_state(ops, targets, None, k)
+    trace = np.trace(sigma, axis1=1, axis2=2).real
+    sigma /= np.where(trace > 0.0, trace, 1.0)[:, None, None]
     w, V = np.linalg.eigh(sigma)
     if w[:, 0].min() < -DENSITY_EIG_TOL:
         raise InfeasibleError(
@@ -431,14 +437,18 @@ def _least_squares_state(f_ops, targets, kept_ops, kept_targets, base):
     Otherwise a state of full rank on the frame is feasible, so no proper
     face holds the feasible set, and base - log omega_LS is projected onto
     the span, ln_z I + sum_kept lam_j X_j, with w the ascending eigenvalues
-    of omega_LS.  A determined omega_LS is the estimate and is returned as
-    omega, with the multipliers from a QR factorization F^T = QR, since
-    the Gram matrix squares the condition number of the span; on any
-    other pass omega is None and lam, from one Gram solve, is Newton's
+    of omega_LS.  One solve with G gives the coefficients and one more,
+    on the residual of the projection, refines them: G squares the
+    condition number of the span, and the refinement wins back the
+    precision that costs (corrected semi-normal equations; Bjorck,
+    Numerical Methods for Least Squares Problems (1996)).  A determined
+    omega_LS is the estimate and is returned as omega, with its final
+    multipliers; on any other pass omega is None and lam is Newton's
     start, the optimum where log omega_LS lies in the span.
     """
     k = base.shape[0]
     F = _flat(np.concatenate((np.eye(k, dtype=complex)[None], kept_ops)))
+    G = F @ F.T
     omega = None
     if len(kept_ops) == k * k - 1:
         omega, w, V, (face,) = _determined_images(f_ops[None], targets[None],
@@ -447,7 +457,6 @@ def _least_squares_state(f_ops, targets, kept_ops, kept_targets, base):
             return face, None, None, None, None
         omega, w, V = omega[0], w[0], V[0]
     else:
-        G = F @ F.T
         vec = np.linalg.solve(G, np.concatenate(((1.0,), kept_targets))) @ F
         tol = _TARGET_TOL * np.maximum(1.0, np.abs(kept_targets))
         if np.any(np.abs(F[1:] @ vec - kept_targets) > tol):
@@ -456,11 +465,8 @@ def _least_squares_state(f_ops, targets, kept_ops, kept_targets, base):
         if w[0] <= _FACE_TOL:
             return None, None, None, None, None
     b = (base - (V * np.log(w)) @ dag(V)).reshape(-1).view(float)
-    if omega is None:
-        coef = np.linalg.solve(G, F @ b)
-    else:
-        Q, R = np.linalg.qr(F.T)
-        coef = np.linalg.solve(R, Q.T @ b)
+    coef = np.linalg.solve(G, F @ b)
+    coef += np.linalg.solve(G, F @ (b - coef @ F))
     return None, coef[0], coef[1:], omega, w
 
 

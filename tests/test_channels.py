@@ -41,6 +41,15 @@ class TestChoiState:
         with pytest.raises(NotAChannelError):
             ChoiState(2, omega)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: maximally_entangled_state(1), "dimension must be >= 2"),
+        (lambda: apply_from_choi(unitary_choi(np.eye(2)), np.eye(3) / 3),
+         "does not match channel dimension 2"),
+    ], ids=["psi-plus-d1", "apply-input-shape"])
+    def test_rejects_bad_dimension(self, call, message):
+        with pytest.raises(DimensionError, match=message):
+            call()
+
     def test_rejects_non_positive(self):
         from procmaxent import InvariantError
 

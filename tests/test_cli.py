@@ -139,6 +139,14 @@ MALFORMED = [
     pytest.param(["estimate", "{problem}"],
                  {"problem": {**entry_problem(), "prior": WIDE_KRAUS}},
                  "Kraus operators must be 2 x 2", id="kraus-prior"),
+    pytest.param(["estimate", f"{FIXTURES}/o1_mixed.json", "--biased", "{channel}"],
+                 {"channel": {"dimension": 3, "kind": "kraus", "kraus": [{"re": np.eye(3).tolist()}]}},
+                 "prior channel dimension 3 does not match problem dimension 2",
+                 id="biased-dimension"),
+    pytest.param(["estimate", f"{FIXTURES}/o1_mixed.json", "-o", "/nonexistent/out.json"], {},
+                 "cannot write /nonexistent/out.json", id="estimate-unwritable-output"),
+    pytest.param(["simulate", CHANNEL, DESIGN, "-o", "/nonexistent/out.json"], {},
+                 "cannot write /nonexistent/out.json", id="simulate-unwritable-output"),
 ]
 
 
@@ -298,6 +306,19 @@ class TestEstimate:
         assert doc["bloch_map"]["translation"][2] == pytest.approx(0.5, abs=1e-7)
         mult = {m["label"]: m["value"] for m in doc["multipliers"]}
         assert mult["m"] == pytest.approx(-np.arctanh(0.5), abs=1e-7)
+
+    def test_mean_past_spectral_end_within_tolerance(self, tmp_path, capsys):
+        # a mean 5e-10 above its spectral end is accepted as that end;
+        # both estimates go to stdout, by default and as "-o -"
+        doc = json.loads(pathlib.Path(f"{FIXTURES}/o1_mixed.json").read_text())
+        docs = []
+        for mean, extra in ((1.0, ["-o", "-"]), (1.0000000005, [])):
+            doc["constraints"][0]["mean"] = mean
+            path = write_json(tmp_path, "o1.json", doc)
+            assert main(["estimate", path] + extra) == EXIT_OK
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[1]["diagnostics"]["boundary_flag"]
+        assert frobenius(read_choi(docs[1]) - read_choi(docs[0])) < 1e-9
 
     def test_empty_problem_gives_maximally_mixed(self, tmp_path):
         out = str(tmp_path / "out.json")

@@ -4,6 +4,7 @@ import pytest
 from procmaxent import (
     DimensionError,
     InvariantError,
+    bloch_to_density,
     expectation,
     hermitian_basis,
     matrix_exp,
@@ -18,6 +19,7 @@ from procmaxent.linalg import (
     PAULI_Z,
     check_density,
     dag,
+    density_to_bloch,
     frobenius,
     kron,
 )
@@ -149,6 +151,19 @@ class TestPartialTrace:
     def test_bad_split(self):
         with pytest.raises(DimensionError):
             partial_trace(np.eye(6), (2, 2), "first")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: partial_trace(np.eye(4), (2, 2), "third"), ValueError, "'first' or 'second'"),
+    (lambda: expectation(np.eye(2) / 2, 1j * ID2), InvariantError, "imaginary part"),
+    (lambda: bloch_to_density([0.0, 1.0]), DimensionError, "length 3"),
+    (lambda: bloch_to_density([0.6, 0.0, 0.9]), InvariantError, "exceeds 1"),
+    (lambda: density_to_bloch(np.eye(3) / 3), DimensionError, "qubit state"),
+], ids=["partial-trace-subsystem", "expectation-imaginary", "bloch-shape", "bloch-norm",
+        "bloch-of-qutrit"])
+def test_rejects_bad_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestCheckDensity:

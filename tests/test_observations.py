@@ -156,6 +156,15 @@ class TestProbeGroups:
             for j, Bj in zip(index, B):
                 assert np.abs(np.kron(A, Bj) - ops[j]).max() < 1e-12
 
+    def test_no_products(self, rng):
+        # the TP operators have a traceless input factor; an entangled
+        # assisted measurement is no product
+        d = 2
+        ops = [c.operator for c in tp_constraints(d)]
+        ops.append(reduce_ancilla_assisted(maximally_entangled_state(d),
+                                           random_hermitian(d * d, rng), d))
+        assert probe_groups(np.array(ops), d) == []
+
     def test_input_factor_must_be_positive(self):
         # diag(2, -1) has unit trace but is no state
         X = np.kron(np.diag([2.0, -1.0]), PAULI_Z)

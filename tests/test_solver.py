@@ -222,6 +222,18 @@ class TestSolveMaxent:
         expected = 0.5 * np.kron(ID2, np.diag([1.0, 0.0]))
         assert frobenius(sol.choi.matrix - expected) < 1e-8
 
+    @pytest.mark.parametrize("scale", [1.0, 3.0])
+    def test_target_past_spectral_end_within_tolerance(self, scale):
+        # the pinned row's excess must not leak into Tr omega, which
+        # ChoiState holds to 1e-10
+        obs = obs_single(scale * np.kron(ID2, PAULI_Z), scale + 5e-10)
+        sol = solve_maxent(obs)
+        assert sol.boundary_flag
+        assert np.trace(sol.choi.matrix).real == pytest.approx(1.0, abs=1e-14)
+        expected = 0.5 * np.kron(ID2, np.diag([1.0, 0.0]))
+        assert frobenius(sol.choi.matrix - expected) < 1e-9
+        assert sol.residuals.max() <= 1e-9
+
     def test_intersecting_pinned_faces(self):
         # each target pins the output to a 2-dimensional eigenspace; only
         # their intersection, output |0>, meets both
