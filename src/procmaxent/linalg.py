@@ -43,10 +43,13 @@ def kron(A, B):
 
 
 def check_hermitian(A, name="operator"):
-    """Validate hermiticity and return the array as complex ndarray."""
+    """Validate finiteness and hermiticity and return the array as complex
+    ndarray."""
     A = np.asarray(A, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"{name} must be a square matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise InvariantError(f"{name} has non-finite entries")
     diff = A - A.conj().T
     dev2 = np.vdot(diff, diff).real
     # dev2 > tol**2 max(1, |A|**2), with |A| taken only when dev2 > tol**2

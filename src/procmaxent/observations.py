@@ -9,11 +9,25 @@ map that prepares it from Psi+.  A ProcessMeasurementSpec validates its
 test state and observable once, when it is built, so a record reduced
 again (a design swept over many channels, a record estimated again)
 pays only the formula.
+
+The checks that depend on operators alone run once per distinct operator
+and level in a process.  A bounded first-in-first-out memo of
+MEMO_CAPACITY entries, keyed by 16-byte BLAKE2b digests, holds the
+spectral ends of every operator that passed Constraint's checks (key:
+the operator's shape and complex128 bytes) and the levels that
+span_report found independent (key: d and the constraints' digests, in
+order).  It stores digests and floats only, and records nothing that
+failed, so every rejection is raised again on every build.  It helps
+only designs built again in one process (a design swept over channels,
+resampled, or estimated round after round); a CLI launch builds each
+constraint once and gains nothing.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,29 +49,66 @@ INDEPENDENCE_TOL = 1e-9
 # Relative distance from a product A (x) B, and between two input factors,
 # at or below which an operator is a product and two factors are equal.
 PRODUCT_TOL = 1e-9
+# Entries of the memo of checked operators and levels; past it the
+# oldest entry is dropped first.
+MEMO_CAPACITY = 4096
+
+# digest -> spectral ends (an operator) or None (an independent level)
+_memo = {}
+_memo_lock = threading.Lock()
+
+
+def _digest(head, *parts):
+    """16-byte BLAKE2b digest of a text head followed by byte buffers."""
+    h = hashlib.blake2b(head.encode(), digest_size=16)
+    for part in parts:
+        h.update(part)
+    return h.digest()
+
+
+def _remember(key, value):
+    """Record a check that passed, dropping the oldest entries past
+    MEMO_CAPACITY; lookups need no lock, since only this iterates _memo."""
+    with _memo_lock:
+        _memo[key] = value
+        while len(_memo) > MEMO_CAPACITY:
+            del _memo[next(iter(_memo))]
 
 
 @dataclass(frozen=True)
 class Constraint:
     """A linear constraint Tr(omega X) = target on the Choi state; ends
-    holds the least and the largest eigenvalue of X."""
+    holds the least and the largest eigenvalue of X.
+
+    The constraint keeps a read-only complex copy of X and its digest;
+    X's hermiticity check and spectrum are taken once per distinct X in a
+    process, the target's range check on every construction."""
 
     operator: np.ndarray
     target: float
     label: str = ""
     ends: tuple = field(init=False, repr=False, compare=False)
+    digest: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        op = check_hermitian(self.operator, name=f"constraint {self.label!r}")
-        w = np.linalg.eigvalsh(op)
-        if not (w[0] - 1e-9 <= self.target <= w[-1] + 1e-9):
+        op = np.array(self.operator, dtype=complex, order="C")
+        op.setflags(write=False)
+        key = _digest(f"operator {op.shape} ", op)
+        ends = _memo.get(key)
+        if ends is None:
+            check_hermitian(op, name=f"constraint {self.label!r}")
+            w = np.linalg.eigvalsh(op)
+            ends = (float(w[0]), float(w[-1]))
+            _remember(key, ends)
+        if not (ends[0] - 1e-9 <= self.target <= ends[1] + 1e-9):
             raise InvariantError(
                 f"constraint {self.label!r}: target {self.target:.12g} outside "
-                f"spectral range [{w[0]:.12g}, {w[-1]:.12g}]"
+                f"spectral range [{ends[0]:.12g}, {ends[1]:.12g}]"
             )
         object.__setattr__(self, "operator", op)
         object.__setattr__(self, "target", float(self.target))
-        object.__setattr__(self, "ends", (float(w[0]), float(w[-1])))
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "digest", key)
 
 
 @functools.lru_cache(maxsize=None)
@@ -218,7 +269,8 @@ class ObservationLevel:
     """A set of linear constraints on a Choi state of system dimension d.
 
     The trace-preservation constraints are always appended; the full set
-    (user + TP + normalization) must be linearly independent.
+    (user + TP + normalization) must be linearly independent, which is
+    checked once per distinct d and sequence of operators in a process.
     """
 
     d: int
@@ -250,12 +302,17 @@ class ObservationLevel:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         object.__setattr__(self, "labels", tuple(c.label for c in full))
+        # which operators are dependent does not depend on the targets
+        key = _digest(f"level {self.d} ", *(c.digest for c in cons))
+        if key in _memo:
+            return
         _, dep, _ = span_report(ops, targets)
         if dep:
             labels = [full[j].label for j in dep]
             raise DependentConstraintsError(
                 f"linearly dependent constraints: {labels}", dependent_labels=labels
             )
+        _remember(key, None)
 
     def full_constraints(self):
         """User constraints followed by the TP constraints."""

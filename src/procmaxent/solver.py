@@ -238,9 +238,11 @@ def _newton(ops, targets, base, lam=None):
     lowered by sum_j |lam_j| times the tolerance to which pruning holds
     target j: a state that meets every target only to that tolerance
     moves the dual value by at most as much, so the certificate covers it
-    too.  Any other stop is a ConvergenceError.
+    too.  Any other stop is a ConvergenceError, which names the start (a
+    given lam is the least-squares one) and the dimension of the frame.
     """
     n = len(targets)
+    start = "lambda = 0" if lam is None else "the least-squares start"
     lam = np.zeros(n) if lam is None else lam
     pt = _dual_pieces(lam, ops, targets, base)
     iters = 0
@@ -286,8 +288,9 @@ def _newton(ops, targets, base, lam=None):
             f"least that any state meeting the constraints allows: no channel meets them"
         )
     raise ConvergenceError(
-        f"dual solver did not converge after {iters} iterations "
-        f"(gradient norm {gnorm:.3e}, largest multiplier {np.abs(lam).max():.3e})"
+        f"dual solver did not converge after {iters} iterations from {start} on a "
+        f"frame of dimension {len(base)} (gradient norm {gnorm:.3e}, largest "
+        f"multiplier {np.abs(lam).max():.3e})"
     )
 
 

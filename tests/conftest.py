@@ -1,13 +1,22 @@
 import numpy as np
 import pytest
 
-from procmaxent import ProcessMeasurementSpec, random_channel, simulate_means
+from procmaxent import ProcessMeasurementSpec, observations, random_channel, simulate_means
 from procmaxent.linalg import PAULIS, bloch_to_density, dag, hermitian_basis
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """An empty memo of checked operators and levels for one test; the
+    process-wide one is back afterwards."""
+    memo = {}
+    monkeypatch.setattr(observations, "_memo", memo)
+    return memo
 
 
 def random_state(n, rng):

@@ -18,6 +18,7 @@ from procmaxent.linalg import (
     PAULI_Y,
     PAULI_Z,
     check_density,
+    check_hermitian,
     dag,
     density_to_bloch,
     frobenius,
@@ -159,8 +160,12 @@ class TestPartialTrace:
     (lambda: bloch_to_density([0.0, 1.0]), DimensionError, "length 3"),
     (lambda: bloch_to_density([0.6, 0.0, 0.9]), InvariantError, "exceeds 1"),
     (lambda: density_to_bloch(np.eye(3) / 3), DimensionError, "qubit state"),
+    (lambda: check_hermitian(np.diag([np.nan, 1.0])), InvariantError,
+     r"^operator has non-finite entries$"),
+    (lambda: check_hermitian([[0.0, np.inf], [np.inf, 0.0]], name="F"), InvariantError,
+     r"^F has non-finite entries$"),
 ], ids=["partial-trace-subsystem", "expectation-imaginary", "bloch-shape", "bloch-norm",
-        "bloch-of-qutrit"])
+        "bloch-of-qutrit", "hermitian-nan", "hermitian-inf"])
 def test_rejects_bad_input(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,11 +23,12 @@ from procmaxent import (
     span_report,
     tp_constraints,
 )
+from procmaxent import observations
 from procmaxent.channels import ChoiState
 from procmaxent.observations import probe_groups
 from procmaxent.linalg import ID2, PAULI_X, PAULI_Z, dag, hermitian_basis, partial_trace
 
-from conftest import random_hermitian, random_state
+from conftest import probe_tomography, random_hermitian, random_state
 
 
 class TestConstraint:
@@ -42,6 +46,134 @@ class TestConstraint:
 
     def test_accepts_spectral_extreme(self):
         Constraint(np.kron(ID2, PAULI_Z), 1.0, label="m")
+
+    def test_keeps_its_own_operator(self):
+        X = np.kron(ID2, PAULI_Z).astype(complex)
+        c = Constraint(X, 0.9, label="m")
+        obs = ObservationLevel(d=2, constraints=(c,))
+        X *= 0.5
+        assert c.operator is not X and not c.operator.flags.writeable
+        assert np.array_equal(c.operator, np.kron(ID2, PAULI_Z))
+        assert np.array_equal(obs.operators[0], np.kron(ID2, PAULI_Z))
+        assert np.array_equal(ObservationLevel(d=2, constraints=(c,)).operators, obs.operators)
+        # the mutated array gets its own range check
+        with pytest.raises(InvariantError, match=r"outside spectral range \[-0\.5, 0\.5\]$"):
+            Constraint(X, 0.9, label="m")
+
+
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+_NAN_Z = np.kron(ID2, PAULI_Z).astype(complex)
+_NAN_Z[0, 0] = np.nan
+
+
+class TestMemo:
+    """Constraint's spectral check and ObservationLevel's independence
+    check run once per distinct operator and level in a process."""
+
+    def test_equal_bytes_take_no_eigvalsh(self, empty_memo, monkeypatch):
+        calls = _counting(monkeypatch, np.linalg, "eigvalsh")
+        X = np.kron(ID2, PAULI_Z)
+        a = Constraint(X, 0.5, label="a")
+        assert len(calls) == 1
+        b = Constraint(X.copy(), -0.25, label="b")
+        assert len(calls) == 1
+        assert b.ends == a.ends == (-1.0, 1.0) and b.digest == a.digest
+        c = Constraint(np.kron(ID2, PAULI_X), 0.5)
+        assert len(calls) == 2 and c.digest != a.digest
+        assert empty_memo[a.digest] == (-1.0, 1.0)
+
+    def test_design_swept_over_channels(self, empty_memo, monkeypatch, rng):
+        specs = probe_tomography(2, 3, rng)
+        first = simulate_means(random_channel(2, 2, rng), specs)
+        other = random_channel(2, 4, rng)
+        eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
+        qr = _counting(monkeypatch, np.linalg, "qr")
+        second = simulate_means(other, specs)
+        assert not eigvalsh and not qr
+        assert np.array_equal(second.operators, first.operators)
+        assert np.array_equal(second.ends, first.ends)
+        assert not np.array_equal(second.targets, first.targets)
+
+    @pytest.mark.parametrize("operator, target, message", [
+        pytest.param(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0,
+                     r"^constraint 'm' is not Hermitian \(deviation 1\.414e\+00\)$",
+                     id="non-hermitian"),
+        pytest.param(_NAN_Z, 0.3, r"^constraint 'm' has non-finite entries$", id="non-finite"),
+        pytest.param(np.kron(ID2, PAULI_Z), 1.5,
+                     r"^constraint 'm': target 1\.5 outside spectral range \[-1, 1\]$",
+                     id="out-of-range"),
+    ])
+    def test_rejections_repeat(self, empty_memo, operator, target, message):
+        Constraint(np.kron(ID2, PAULI_Z), 0.5)
+        recorded = dict(empty_memo)
+        for _ in range(3):
+            with pytest.raises(InvariantError, match=message):
+                Constraint(operator.copy(), target, label="m")
+        assert empty_memo == recorded
+
+    def test_dependent_level_raises_on_every_build(self, empty_memo):
+        a = Constraint(np.kron(ID2, PAULI_Z), 0.5, label="a")
+        b = Constraint(np.kron(PAULI_X, PAULI_X), 0.1, label="b")
+        dup = Constraint(np.kron(ID2, PAULI_Z), 0.5, label="dup")
+        ObservationLevel(d=2, constraints=(a, b))
+        ObservationLevel(d=2, constraints=(a, b))
+        for _ in range(3):
+            with pytest.raises(DependentConstraintsError) as exc:
+                ObservationLevel(d=2, constraints=(a, b, dup))
+            assert exc.value.dependent_labels == ("dup",)
+        with pytest.raises(DependentConstraintsError, match=r"\['tp:0'\]"):
+            ObservationLevel(d=2, constraints=(a, Constraint(np.kron(PAULI_X, ID2), 0.0)))
+
+    def test_bounded_first_in_first_out(self, empty_memo, monkeypatch):
+        monkeypatch.setattr(observations, "MEMO_CAPACITY", 4)
+        calls = _counting(monkeypatch, np.linalg, "eigvalsh")
+        cons = []
+        for k in range(10):
+            cons.append(Constraint(np.kron(ID2, (k + 1) * PAULI_Z), 0.0))
+            ObservationLevel(d=2, constraints=(cons[-1],))
+            assert len(empty_memo) <= 4
+        assert cons[-1].digest in empty_memo and cons[0].digest not in empty_memo
+        Constraint(np.kron(ID2, PAULI_Z), 0.0)
+        assert len(calls) == 11 and len(empty_memo) == 4
+
+    def test_threads(self, empty_memo, monkeypatch):
+        # more threads than the cores of a CI runner, switching often, on a
+        # memo small enough that they evict each other's entries
+        monkeypatch.setattr(observations, "MEMO_CAPACITY", 8)
+        errors = []
+
+        def build(k):
+            try:
+                for j in range(60):
+                    scale = 1 + (j + k) % 12
+                    c = Constraint(np.kron(ID2, scale * PAULI_Z), 0.0)
+                    assert c.ends == (-scale, scale)
+                    ObservationLevel(d=2, constraints=(c,))
+            except Exception as exc:    # reported by the main thread
+                errors.append(exc)
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors and len(empty_memo) <= 8
 
 
 class TestTpConstraints:
@@ -328,6 +460,15 @@ class TestProcessMeasurementSpec:
         pytest.param(dict(kind="raw", operator=_NOT_HERMITIAN, label="r"), InvariantError,
                      r"^raw operator 'r' is not Hermitian \(deviation 1\.414e\+00\)$",
                      id="non-hermitian-raw"),
+        pytest.param(dict(kind="ancilla_free", state=np.diag([np.nan, 1.0]), observable=PAULI_Z),
+                     InvariantError, r"^test state has non-finite entries$",
+                     id="non-finite-state"),
+        pytest.param(dict(kind="ancilla_assisted", state=0.5 * ID2,
+                          observable=np.array([[1.0, np.inf], [np.inf, -1.0]])),
+                     InvariantError, r"^observable has non-finite entries$",
+                     id="non-finite-observable"),
+        pytest.param(dict(kind="raw", operator=_NAN_Z, label="r"), InvariantError,
+                     r"^raw operator 'r' has non-finite entries$", id="non-finite-raw"),
         pytest.param(dict(kind="tomography", state=0.5 * ID2, observable=PAULI_Z),
                      ValueError, r"^unknown measurement kind 'tomography'$", id="unknown-kind"),
     ])

@@ -302,6 +302,22 @@ class TestSolveMaxent:
         with pytest.raises(ConvergenceError):
             solve_maxent(obs)
 
+    def test_non_convergence_names_start_and_frame(self):
+        # probe (0, 0, 1) all but pinned to its Z eigenstate: the
+        # least-squares start on its 3-dimensional face is already past the
+        # multiplier cap
+        probes = [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)]
+        means = [(1e-9, 0.0, 1.0), (0.3, 0.1, 0.2)]
+        obs = ObservationLevel(d=2, constraints=tuple(
+            Constraint(reduce_ancilla_free(bloch_to_density(b), P), x, label=f"p{p}:{k}")
+            for p, (b, xs) in enumerate(zip(probes, means))
+            for k, (P, x) in enumerate(zip((PAULI_X, PAULI_Y, PAULI_Z), xs))
+        ))
+        with pytest.raises(ConvergenceError, match=(
+                r"^dual solver did not converge after 0 iterations from the "
+                r"least-squares start on a frame of dimension 3 \(gradient norm")):
+            solve_maxent(obs)
+
     def test_multipliers_label_alignment(self):
         obs = obs_single(reduce_ancilla_free(0.5 * ID2, PAULI_Z), 0.5, label="m")
         sol = solve_maxent(obs)
