@@ -29,7 +29,7 @@ from .linalg import (
 CPTP_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiState:
     """Bipartite density matrix representing a channel on a d-level system.
 
@@ -56,7 +56,7 @@ class ChoiState:
         object.__setattr__(self, "matrix", m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QubitAffineMap:
     """Qubit channel in Bloch coordinates: r -> linear @ r + translation."""
 

@@ -75,7 +75,7 @@ def _remember(key, value):
             del _memo[next(iter(_memo))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constraint:
     """A linear constraint Tr(omega X) = target on the Choi state; ends
     holds the least and the largest eigenvalue of X.
@@ -87,8 +87,8 @@ class Constraint:
     operator: np.ndarray
     target: float
     label: str = ""
-    ends: tuple = field(init=False, repr=False, compare=False)
-    digest: bytes = field(init=False, repr=False, compare=False)
+    ends: tuple = field(init=False, repr=False)
+    digest: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         op = np.array(self.operator, dtype=complex, order="C")
@@ -264,7 +264,7 @@ def probe_groups(ops, d):
             if least[k] >= -DENSITY_EIG_TOL]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationLevel:
     """A set of linear constraints on a Choi state of system dimension d.
 
@@ -277,10 +277,10 @@ class ObservationLevel:
     constraints: tuple
     # built once: the operators of full_constraints() (stacked,
     # read-only), their targets and spectral ends (read-only) and labels
-    operators: np.ndarray = field(init=False, repr=False, compare=False)
-    targets: np.ndarray = field(init=False, repr=False, compare=False)
-    ends: np.ndarray = field(init=False, repr=False, compare=False)
-    labels: tuple = field(init=False, repr=False, compare=False)
+    operators: np.ndarray = field(init=False, repr=False)
+    targets: np.ndarray = field(init=False, repr=False)
+    ends: np.ndarray = field(init=False, repr=False)
+    labels: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         cons = tuple(self.constraints)
@@ -319,7 +319,7 @@ class ObservationLevel:
         return [*self.constraints, *_tp_block(self.d)[0]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcessMeasurementSpec:
     """One process measurement: how the channel was probed and what was
     measured.  kind is 'ancilla_free', 'ancilla_assisted' or 'raw'.

@@ -30,7 +30,7 @@ from .linalg import ID2, PAULI_Z, PAULIS, bloch_to_density, matrix_exp
 from .observations import Constraint, ObservationLevel, reduce_ancilla_free
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleResult:
     choi: ChoiState
     bloch_map: QubitAffineMap
@@ -121,14 +121,43 @@ def _o1_assemble(lam, dd, r_vec):
     return raw / np.trace(raw).real
 
 
+def _o1_root(uv, r, m):
+    """Damped Newton for _o1_equations in u = lam + dd, v = lam - dd from
+    uv, with the analytic Jacobian: each step is halved until the
+    residual's max-norm falls, and a trial point whose residual is not
+    finite is rejected.  Returns (lam, dd) once no step lowers it."""
+    def f(uv):
+        return _o1_equations((0.5 * (uv[0] + uv[1]), 0.5 * (uv[0] - uv[1])), r, m)
+
+    with np.errstate(all="ignore"):
+        fx = f(uv)
+        for _ in range(200):
+            u, v = uv
+            a, b = np.exp(0.5 * (v - u)), np.exp(0.5 * (u - v))
+            sp, cp, sm, cm = np.sinh(u * r), np.cosh(u * r), np.sinh(v * r), np.cosh(v * r)
+            jac = [[a * (r * cp - 0.5 * sp) + 0.5 * b * sm,
+                    0.5 * a * sp + b * (r * cm - 0.5 * sm)],
+                   [(m - 1) * a * (r * sp - 0.5 * cp) + 0.5 * (m + 1) * b * cm
+                    + r * a * (2 * r * cp - sp),
+                    0.5 * (m - 1) * a * cp + (m + 1) * b * (r * sm - 0.5 * cm) + r * a * sp]]
+            try:
+                step = np.linalg.solve(jac, -fx)
+            except np.linalg.LinAlgError:
+                break
+            for t in 0.5 ** np.arange(40):
+                ft = f(uv + t * step)
+                if np.all(np.isfinite(ft)) and np.abs(ft).max() < np.abs(fx).max():
+                    uv, fx = uv + t * step, ft
+                    break
+            else:
+                break
+    return 0.5 * (uv[0] + uv[1]), 0.5 * (uv[0] - uv[1])
+
+
 def oracle_O1_transcendental(r, m, r_hat=(0.0, 0.0, 1.0)):
     """Estimate for a mixed test state of Bloch radius r in (0, 1): the
     multipliers solve two coupled hyperbolic equations, found here by an
     independent root finder and checked to residual 1e-12."""
-    # Imported here, its only use, so that importing the package (and
-    # every CLI launch) does not load scipy.
-    from scipy import optimize
-
     if not (0.0 < r < 1.0):
         raise InvariantError(f"r must lie in (0, 1), got {r}")
     if abs(m) >= 1.0:
@@ -146,17 +175,9 @@ def oracle_O1_transcendental(r, m, r_hat=(0.0, 0.0, 1.0)):
         (0.5, -0.5 * np.sign(m) if m else 0.1),
     ]
 
-    def in_uv(uv):
-        u, v = uv
-        return _o1_equations((0.5 * (u + v), 0.5 * (u - v)), r, m)
-
     roots = []
     for lam0, dd0 in seeds:
-        sol = optimize.root(in_uv, np.array([lam0 + dd0, lam0 - dd0]), method="hybr",
-                            options={"xtol": 1e-14})
-        # hybr can flag xtol as unreachable even at a machine-precision
-        # root; accept on residual alone
-        lam, dd = 0.5 * (sol.x[0] + sol.x[1]), 0.5 * (sol.x[0] - sol.x[1])
+        lam, dd = _o1_root(np.array([lam0 + dd0, lam0 - dd0]), r, m)
         resid = np.abs(_o1_equations((lam, dd), r, m)).max()
         if resid > 1e-12:
             continue

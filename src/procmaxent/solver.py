@@ -57,11 +57,12 @@ is singular or indefinite searches the probe faces first and starts
 Newton from lam = 0.
 
 The solver has no options: the record alone defines the estimate.
-Newton decides its own outcome (_newton): it converges when the dual
-gradient's max-norm is at most _GRAD_TOL = 1e-10, and a run that stops
-first, at the latest after _MAX_ITER = 500 iterations, ends the solve,
-with InfeasibleError when weak duality proves the data infeasible, else
-ConvergenceError.  An estimate is accepted once, when it meets every
+Newton decides its own outcome (_newton) and stops for one of three
+reasons: it converges when the dual gradient's max-norm is at most
+_GRAD_TOL = 1e-10; it raises InfeasibleError at the first iterate whose
+dual value weak duality shows no feasible state allows; and it raises
+ConvergenceError on a failed line search or after _MAX_ITER = 500
+iterations.  An estimate is accepted once, when it meets every
 constraint, trace preservation included, to 10 _GRAD_TOL, and its
 marginal Tr_2 omega is I/d to the tolerance ChoiState checks.
 The traces against the operator stack (the exponent, the means, the
@@ -99,8 +100,6 @@ _BACKTRACK = 0.5
 _MAX_BACKTRACKS = 60
 # Gibbs weight below which an eigenvector of the state is off its face.
 _FACE_TOL = 1e-7
-# Largest multiplier magnitude before Newton stops as divergent.
-_MULTIPLIER_CAP = 1e5
 # Relative distance of a target from its operator's spectral end that pins it.
 _BOUNDARY_TOL = 1e-9
 # Relative tolerance to which a target must be met, as pruning checks it.
@@ -111,7 +110,7 @@ _GRAD_TOL = 1e-10
 _MAX_ITER = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaxEntSolution:
     """An estimate with its multipliers and residuals.
 
@@ -134,7 +133,7 @@ class MaxEntSolution:
     boundary_flag: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorChannel:
     """Prior Choi state with its support; states leaving the support have
     infinite relative entropy and are excluded.  Built once, read-only:
@@ -142,8 +141,8 @@ class PriorChannel:
     of the prior's eigenvalues p there."""
 
     choi: ChoiState
-    frame: np.ndarray = field(init=False, repr=False, compare=False)
-    base: np.ndarray = field(init=False, repr=False, compare=False)
+    frame: np.ndarray = field(init=False, repr=False)
+    base: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         w, V = np.linalg.eigh(self.choi.matrix)
@@ -229,28 +228,40 @@ def _newton(ops, targets, base, lam=None):
     """Minimize the dual from lam (zero when None) to ||g||_inf <=
     _GRAD_TOL, and return (lam, point, iterations).
 
-    A run stops short of that at the multiplier cap, on a failed line
-    search or after _MAX_ITER iterations.  Weak duality then decides what
-    the stop means: for every state omega on the frame that meets the
-    targets, ln Z(lam) >= S(omega) + Tr(omega base) - lam . x (Gibbs
-    variational principle), so D(lam) >= min eig(base), and a lower value
-    proves that no such state exists (InfeasibleError).  The bound is
-    lowered by sum_j |lam_j| times the tolerance to which pruning holds
-    target j: a state that meets every target only to that tolerance
-    moves the dual value by at most as much, so the certificate covers it
-    too.  Any other stop is a ConvergenceError, which names the start (a
-    given lam is the least-squares one) and the dimension of the frame.
+    Weak duality is checked at every iterate: for every state omega on
+    the frame that meets the targets, ln Z(lam) >= S(omega) + Tr(omega
+    base) - lam . x (Gibbs variational principle), so D(lam) >= min
+    eig(base), and a lower value proves that no such state exists
+    (InfeasibleError).  The bound is lowered by sum_j |lam_j| times the
+    tolerance to which pruning holds target j: a state that meets every
+    target only to that tolerance moves the dual value by at most as
+    much, so the certificate covers it too and cannot fire on a feasible
+    record.  min eig(base) <= Tr(base)/dim, so the spectrum of base is
+    taken, once, only when the dual value falls below that mean; with
+    base = 0 a feasible run never takes it.  A failed line search or
+    _MAX_ITER iterations end the run with a ConvergenceError, which
+    names the start (a given lam is the least-squares one) and the
+    dimension of the frame.
     """
     n = len(targets)
     start = "lambda = 0" if lam is None else "the least-squares start"
     lam = np.zeros(n) if lam is None else lam
     pt = _dual_pieces(lam, ops, targets, base)
+    mean, floor = np.trace(base).real / len(base), None
     iters = 0
     while True:
         gnorm = np.abs(pt.gradient).max() if n else 0.0
         if gnorm <= _GRAD_TOL:
             return lam, pt, iters
-        if iters == _MAX_ITER or np.abs(lam).max() > _MULTIPLIER_CAP:
+        if pt.value < mean:
+            floor = np.linalg.eigvalsh(base)[0] if floor is None else floor
+            slack = _TARGET_TOL * float(np.abs(lam) @ np.maximum(1.0, np.abs(targets)))
+            if pt.value < floor - slack:
+                raise InfeasibleError(
+                    f"the dual value {pt.value:.12g} is below {floor:.12g}, the least "
+                    f"that any state meeting the constraints allows: no channel meets them"
+                )
+        if iters == _MAX_ITER:
             break
         iters += 1
         H = dual_hessian(pt, ops)
@@ -280,13 +291,6 @@ def _newton(ops, targets, base, lam=None):
             break
         lam = lam + t * step
         pt = accepted
-    floor = np.linalg.eigvalsh(base)[0]
-    slack = _TARGET_TOL * float(np.abs(lam) @ np.maximum(1.0, np.abs(targets)))
-    if pt.value < floor - slack:
-        raise InfeasibleError(
-            f"the dual value {pt.value:.12g} is below {floor:.12g}, the "
-            f"least that any state meeting the constraints allows: no channel meets them"
-        )
     raise ConvergenceError(
         f"dual solver did not converge after {iters} iterations from {start} on a "
         f"frame of dimension {len(base)} (gradient norm {gnorm:.3e}, largest "

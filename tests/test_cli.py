@@ -151,7 +151,7 @@ MALFORMED = [
 
 
 def test_cli_import_does_not_load_scipy():
-    # Every launch imports procmaxent.cli; scipy is needed only by one oracle.
+    # Every launch imports procmaxent.cli, which needs numpy alone.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))

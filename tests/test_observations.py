@@ -23,8 +23,8 @@ from procmaxent import (
     span_report,
     tp_constraints,
 )
-from procmaxent import observations
-from procmaxent.channels import ChoiState
+from procmaxent import PriorChannel, observations, oracle_O1_mixed, solve_maxent
+from procmaxent.channels import ChoiState, QubitAffineMap
 from procmaxent.observations import probe_groups
 from procmaxent.linalg import ID2, PAULI_X, PAULI_Z, dag, hermitian_basis, partial_trace
 
@@ -59,6 +59,29 @@ class TestConstraint:
         # the mutated array gets its own range check
         with pytest.raises(InvariantError, match=r"outside spectral range \[-0\.5, 0\.5\]$"):
             Constraint(X, 0.9, label="m")
+
+
+def _level():
+    return ObservationLevel(d=2, constraints=(Constraint(np.kron(ID2, PAULI_Z), 0.5, "z"),))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Constraint(np.kron(ID2, PAULI_Z), 0.5, "z"),
+    _level,
+    lambda: ProcessMeasurementSpec("ancilla_free", state=0.5 * ID2, observable=PAULI_Z),
+    lambda: ChoiState(2, np.eye(4) / 4),
+    lambda: QubitAffineMap(np.zeros((3, 3)), np.zeros(3)),
+    lambda: PriorChannel(ChoiState(2, np.eye(4) / 4)),
+    lambda: solve_maxent(_level()),
+    lambda: oracle_O1_mixed(0.5),
+], ids=["Constraint", "ObservationLevel", "ProcessMeasurementSpec", "ChoiState",
+        "QubitAffineMap", "PriorChannel", "MaxEntSolution", "OracleResult"])
+def test_array_holders_compare_by_identity(make):
+    # a generated __eq__ would compare the arrays and raise; these
+    # classes compare and hash as distinct objects instead
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
 
 def _counting(monkeypatch, owner, name):

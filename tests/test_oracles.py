@@ -1,9 +1,15 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from procmaxent import (
     BoundaryCaseError,
     InvariantError,
+    OracleFailureError,
     expectation,
     oracle_O1_mixed,
     oracle_O1_pure,
@@ -126,6 +132,23 @@ class TestOracleO1Transcendental:
         assert frobenius(res.choi.matrix - pure.choi.matrix) < 1e-5
         assert res.multipliers["dd"] == pytest.approx(pure.multipliers["dd"],
                                                       abs=1e-5)
+
+    def test_no_root_raises_oracle_failure(self):
+        # no seed reaches a residual of 1e-12 here; steps into overflow
+        # are rejected without a warning
+        with pytest.raises(OracleFailureError, match="no residual below 1e-12"):
+            oracle_O1_transcendental(0.8, 0.97)
+
+    def test_root_finder_needs_numpy_alone(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(pathlib.Path(__file__).resolve().parent.parent / "src")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        code = ("import sys; from procmaxent import oracle_O1_transcendental; "
+                "oracle_O1_transcendental(0.5, 0.3); print('scipy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                             check=True, capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
     def test_domain_checks(self):
         with pytest.raises(InvariantError):

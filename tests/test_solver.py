@@ -303,9 +303,19 @@ class TestSolveMaxent:
             solve_maxent(obs)
 
     def test_non_convergence_names_start_and_frame(self):
-        # probe (0, 0, 1) all but pinned to its Z eigenstate: the
-        # least-squares start on its 3-dimensional face is already past the
-        # multiplier cap
+        # the projector record of draw (2, 1): Newton runs from lambda = 0
+        # on the whole frame and ends at _MAX_ITER with a gradient norm
+        # just above _GRAD_TOL
+        with pytest.raises(ConvergenceError, match=(
+                r"^dual solver did not converge after 500 iterations from "
+                r"lambda = 0 on a frame of dimension 4 \(gradient norm")):
+            solve_maxent(pure_output_projector_record(2, 1))
+
+    def test_nearly_pinned_probe_face_is_refused(self):
+        # probe (0, 0, 1) all but pinned to its Z eigenstate: Newton
+        # converges from the least-squares start on its 3-dimensional
+        # face, but that estimate misses a constraint, which the
+        # acceptance check refuses
         probes = [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)]
         means = [(1e-9, 0.0, 1.0), (0.3, 0.1, 0.2)]
         obs = ObservationLevel(d=2, constraints=tuple(
@@ -313,9 +323,7 @@ class TestSolveMaxent:
             for p, (b, xs) in enumerate(zip(probes, means))
             for k, (P, x) in enumerate(zip((PAULI_X, PAULI_Y, PAULI_Z), xs))
         ))
-        with pytest.raises(ConvergenceError, match=(
-                r"^dual solver did not converge after 0 iterations from the "
-                r"least-squares start on a frame of dimension 3 \(gradient norm")):
+        with pytest.raises(ConvergenceError, match="^converged solution violates constraints"):
             solve_maxent(obs)
 
     def test_multipliers_label_alignment(self):
@@ -324,6 +332,89 @@ class TestSolveMaxent:
         assert sol.labels == ("m", "tp:0", "tp:1", "tp:2")
         assert len(sol.multipliers) == 4
         assert sol.multipliers[0] == pytest.approx(-np.arctanh(0.5), abs=1e-8)
+
+
+def pure_output_projector_record(d, i):
+    """Draw i at dimension d of a measure-and-prepare channel whose probe
+    B[:, 0] goes to a pure state: the projector on that output measured
+    at mean 1, plus two random probes with full output tomography.  No
+    target sits at an end of its operator's spectrum and no probe's
+    output is determined, so no face is proved and Newton runs from
+    lambda = 0 while its multipliers diverge."""
+    rng = np.random.default_rng([99, d, i])
+    B = random_unitary(d, rng)
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    outputs = [np.outer(v, v.conj()) / np.vdot(v, v).real]
+    outputs += [random_state(d, rng) for _ in range(d - 1)]
+    truth = sum(np.kron(np.outer(B[:, k], B[:, k].conj()).T, outputs[k])
+                for k in range(d)) / d
+    probe = np.outer(B[:, 0], B[:, 0].conj())
+    specs = [ProcessMeasurementSpec("ancilla_free", state=probe, observable=outputs[0],
+                                    label="proj")] + probe_tomography(d, 2, rng)
+    return simulate_means(ChoiState(d, truth), specs)
+
+
+def outside_bloch_ball_record(radius, extra_probes):
+    """Probe |0> with measured X and Z means at output Bloch radius
+    radius > 1, plus extra_probes (0 or 2) probes with two means each
+    inside the ball.  No probe's output is determined and every target
+    lies inside its operator's spectrum, so only Newton can refuse it."""
+    c = radius / np.sqrt(2.0)
+    probes = [((0.0, 0.0, 1.0), ((PAULI_X, c), (PAULI_Z, c))),
+              ((1.0, 0.0, 0.0), ((PAULI_X, 0.3), (PAULI_Y, 0.1))),
+              ((0.0, 1.0, 0.0), ((PAULI_Y, -0.2), (PAULI_Z, 0.4)))][:1 + extra_probes]
+    return ObservationLevel(d=2, constraints=tuple(
+        Constraint(reduce_ancilla_free(bloch_to_density(b), P), x, label=f"p{p}:{k}")
+        for p, (b, means) in enumerate(probes) for k, (P, x) in enumerate(means)))
+
+
+class TestStopRule:
+    """Newton stops for three reasons: the gradient's max-norm reaches
+    _GRAD_TOL (converged), the dual value falls below the weak-duality
+    bound (InfeasibleError), or a line search fails or _MAX_ITER
+    iterations pass (ConvergenceError)."""
+
+    @pytest.mark.parametrize("radius, extra_probes", [
+        (np.hypot(0.8, 0.8), 0), (1.004, 0), (1.0 + 1e-6, 0), (1.030, 2), (1.026, 2)])
+    def test_outside_bloch_ball_is_infeasible(self, monkeypatch, radius, extra_probes):
+        # the certificate fires within a few dozen iterations, even when
+        # the excess over the ball is 1e-6
+        obs = outside_bloch_ball_record(radius, extra_probes)
+        monkeypatch.setattr(solver_module, "_MAX_ITER", 30)
+        with pytest.raises(InfeasibleError, match="dual value") as info:
+            solve_maxent(obs)
+        assert info.value.label is None
+
+    def test_diverging_feasible_records_are_not_infeasible(self):
+        # exact data whose estimate lies on a face nothing proves: Newton
+        # runs until it converges or its budget ends, and the weak-duality
+        # bound, which every feasible record meets, never fires
+        converged = 0
+        for d in (2, 3):
+            for i in range(25):
+                try:
+                    sol = solve_maxent(pure_output_projector_record(d, i))
+                except ConvergenceError:
+                    continue
+                assert sol.residuals.max() <= 1e-9
+                converged += 1
+        assert converged >= 44
+
+    def test_feasible_run_takes_no_spectrum_of_base(self, monkeypatch):
+        # the dual value of a feasible maximum-entropy run never falls
+        # below Tr(base)/dim = 0, so min eig(base) is never needed
+        _, obs = two_probe_qubit_record(0)
+        eigvalsh = np.linalg.eigvalsh
+        zero_args = []
+
+        def spy(a, *args, **kwargs):
+            if not np.any(a):
+                zero_args.append(a)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        assert solve_maxent(obs).iterations >= 2
+        assert zero_args == []
 
 
 def _interior_biased_problem(d, probes, seed):
@@ -505,9 +596,9 @@ class TestExactData:
         probes = data.draw(st.integers(1, d * d), label="probes")
         self.check_exact_record(d, rank, probes, np.random.default_rng(seed))
 
-    # Rank-2 channels with 2 probes; narrowing to the support of a Newton
-    # iterate that had not converged once called both records infeasible,
-    # and Newton alone stopped at the multiplier cap on both.
+    # Rank-2 channels with 2 probes whose estimate lies on a proper face:
+    # they must converge, and narrowing to the support of a Newton iterate
+    # that has not converged would call them infeasible.
     @pytest.mark.parametrize("seed", [[3, 2, 0], [4, 2, 0]])
     def test_exact_data_regressions(self, seed):
         d, rank, _ = seed
@@ -534,9 +625,9 @@ class TestExactData:
             return
         assert is_cptp(sol.choi.matrix).trace_preserving
 
-    # (d, rank, probes, seed) draws on which Newton alone stopped at the
-    # multiplier cap: every probe's output is singular, and the estimate
-    # lies on the face their kernels prove.
+    # (d, rank, probes, seed) draws whose multipliers diverge on the whole
+    # frame: every probe's output is singular, and the estimate lies on
+    # the face their kernels prove, where Newton converges.
     @pytest.mark.parametrize("d, rank, probes, seed", [
         (3, 2, 2, 0), (4, 2, 2, 0), (4, 3, 3, 0), (4, 3, 5, 1)])
     def test_probe_face_draws_converge(self, d, rank, probes, seed):
