@@ -165,8 +165,10 @@ def kraus_from_choi(choi):
 
 def choi_from_kraus(kraus, d=None):
     """Choi state of the channel rho -> sum_k A_k rho A_k^dagger; every A_k
-    must be d x d (DimensionError)."""
+    must be d x d (DimensionError), d that of the first when not given."""
     kraus = [np.asarray(A, dtype=complex) for A in kraus]
+    if not kraus:
+        raise NotAChannelError("an empty Kraus set is not a channel")
     if d is None:
         d = kraus[0].shape[0]
     if any(A.shape != (d, d) for A in kraus):

@@ -47,4 +47,4 @@ class BoundaryCaseError(ProcMaxEntError, ValueError):
 
 
 class OracleFailureError(ProcMaxEntError, RuntimeError):
-    """A transcendental oracle's root finder did not converge."""
+    """A transcendental oracle found no root with residual below 1e-12."""

@@ -352,16 +352,20 @@ class ProcessMeasurementSpec:
             object.__setattr__(self, name, value)
 
     def reduce(self, d):
-        """Constraint operator on the Choi state for system dimension d;
-        an ancilla-free spec takes d from its test state."""
+        """Constraint operator on the Choi state for system dimension d.
+        A raw operator must be d**2 x d**2, an ancilla-free test state d x
+        d, and an assisted one D*d x D*d (DimensionError)."""
         if self.kind == "raw":
             if self.operator.shape != (d * d, d * d):
                 raise DimensionError(
                     f"raw operator {self.label!r} has shape {self.operator.shape}"
                 )
             return self.operator
-        if self.kind == "ancilla_free":
-            d = self.state.shape[0]
+        if self.kind == "ancilla_free" and self.state.shape != (d, d):
+            raise DimensionError(
+                f"ancilla-free test state {self.label!r} has shape "
+                f"{self.state.shape}, expected {(d, d)}"
+            )
         return _reduce(self.state, self.observable, d)
 
 

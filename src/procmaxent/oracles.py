@@ -7,8 +7,8 @@ Covered observation levels (single use of the channel, qubit system):
     state (closed form),
   * the same mean with a pure test state (closed form),
   * the same mean with a mixed test state of Bloch radius r in (0, 1)
-    (two transcendental equations, solved by an independent root
-    finder),
+    (two transcendental equations: the first gives lam in closed form,
+    and bisection solves the second, monotone in dd),
   * full output tomography of the maximally mixed test state,
   * four test states with a single measured output component.
 
@@ -19,7 +19,6 @@ sigma_z, with rT the transposed Bloch vector (r_x, -r_y, r_z).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,85 +120,48 @@ def _o1_assemble(lam, dd, r_vec):
     return raw / np.trace(raw).real
 
 
-def _o1_root(uv, r, m):
-    """Damped Newton for _o1_equations in u = lam + dd, v = lam - dd from
-    uv, with the analytic Jacobian: each step is halved until the
-    residual's max-norm falls, and a trial point whose residual is not
-    finite is rejected.  Returns (lam, dd) once no step lowers it."""
-    def f(uv):
-        return _o1_equations((0.5 * (uv[0] + uv[1]), 0.5 * (uv[0] - uv[1])), r, m)
-
-    with np.errstate(all="ignore"):
-        fx = f(uv)
-        for _ in range(200):
-            u, v = uv
-            a, b = np.exp(0.5 * (v - u)), np.exp(0.5 * (u - v))
-            sp, cp, sm, cm = np.sinh(u * r), np.cosh(u * r), np.sinh(v * r), np.cosh(v * r)
-            jac = [[a * (r * cp - 0.5 * sp) + 0.5 * b * sm,
-                    0.5 * a * sp + b * (r * cm - 0.5 * sm)],
-                   [(m - 1) * a * (r * sp - 0.5 * cp) + 0.5 * (m + 1) * b * cm
-                    + r * a * (2 * r * cp - sp),
-                    0.5 * (m - 1) * a * cp + (m + 1) * b * (r * sm - 0.5 * cm) + r * a * sp]]
-            try:
-                step = np.linalg.solve(jac, -fx)
-            except np.linalg.LinAlgError:
-                break
-            for t in 0.5 ** np.arange(40):
-                ft = f(uv + t * step)
-                if np.all(np.isfinite(ft)) and np.abs(ft).max() < np.abs(fx).max():
-                    uv, fx = uv + t * step, ft
-                    break
-            else:
-                break
-    return 0.5 * (uv[0] + uv[1]), 0.5 * (uv[0] - uv[1])
+def _o1_lam(dd, r):
+    """The lam that meets the first equation exactly: tanh(lam r) =
+    tanh(dd) tanh(r dd), written so that nothing cancels."""
+    ratio = 2.0 * np.sinh(dd) * np.sinh(r * dd) / np.cosh((1.0 - r) * dd)
+    return np.log1p(ratio) / (2.0 * r)
 
 
 def oracle_O1_transcendental(r, m, r_hat=(0.0, 0.0, 1.0)):
-    """Estimate for a mixed test state of Bloch radius r in (0, 1): the
-    multipliers solve two coupled hyperbolic equations, found here by an
-    independent root finder and checked to residual 1e-12."""
+    """Estimate for a mixed test state of Bloch radius r in (0, 1).
+
+    The first of the two hyperbolic equations gives lam(dd) in closed
+    form.  On that curve the second factors as (e^-dd cosh(u r) + e^dd
+    cosh(v r)) (m - M(dd)), with u = lam + dd, v = lam - dd and M(dd) the
+    model's mean, which falls strictly with dd.  Its single root is
+    bracketed by doubling [-1, 1] and bisected until the midpoint is an
+    endpoint; both equations are then checked to residual 1e-12."""
     if not (0.0 < r < 1.0):
         raise InvariantError(f"r must lie in (0, 1), got {r}")
     if abs(m) >= 1.0:
         raise InvariantError(f"|m| = {abs(m):.12g} is outside the interior domain")
     r_hat = np.asarray(r_hat, dtype=float)
     r_hat = r_hat / np.linalg.norm(r_hat)
-    # Seeds: the pure-state closed form, the mixed-state closed form, and a
-    # coarse grid; the decoupled variables u = lam + dd, v = lam - dd keep
-    # the Jacobian well conditioned near r -> 1.
-    dd_pure = 0.25 * np.log((1.0 - m) / (1.0 + m))
-    seeds = [
-        (0.5 * np.log(np.cosh(2.0 * dd_pure)), dd_pure),
-        (0.0, -np.arctanh(m) if abs(m) < 1 else 0.0),
-        (0.0, 0.0),
-        (0.5, -0.5 * np.sign(m) if m else 0.1),
-    ]
 
-    roots = []
-    for lam0, dd0 in seeds:
-        lam, dd = _o1_root(np.array([lam0 + dd0, lam0 - dd0]), r, m)
+    def sign_f2(dd):
+        return np.sign(_o1_equations((_o1_lam(dd, r), dd), r, m)[1])
+
+    with np.errstate(all="ignore"):
+        lo, hi = -1.0, 1.0
+        # signs, not products, are compared: products underflow; a
+        # non-finite value (sign nan) ends the search
+        while (s_lo := sign_f2(lo)) == sign_f2(hi):
+            lo, hi = 2.0 * lo, 2.0 * hi
+        # stops on an exact root or when the midpoint is an endpoint
+        while lo < (dd := 0.5 * (lo + hi)) < hi and (s := sign_f2(dd)):
+            lo, hi = (dd, hi) if s == s_lo else (lo, dd)
+        lam = _o1_lam(dd, r)
         resid = np.abs(_o1_equations((lam, dd), r, m)).max()
-        if resid > 1e-12:
-            continue
-        if not any(abs(lam - a) < 1e-8 and abs(dd - b) < 1e-8 for a, b in roots):
-            roots.append((lam, dd))
-    if not roots:
+    if not resid <= 1e-12:
         raise OracleFailureError(
             f"root finder failed for (r={r}, m={m}); no residual below 1e-12"
         )
-    feasible = []
-    for lam, dd in roots:
-        omega = _o1_assemble(lam, dd, r * r_hat)
-        if np.linalg.eigvalsh(omega)[0] > -1e-10:
-            feasible.append((lam, dd, omega))
-    if len(feasible) > 1:
-        warnings.warn(
-            f"multiple feasible roots for (r={r}, m={m}): "
-            f"{[(a, b) for a, b, _ in feasible]}; using the first",
-            RuntimeWarning,
-        )
-    lam, dd, omega = feasible[0]
-    choi = ChoiState(2, omega)
+    choi = ChoiState(2, _o1_assemble(lam, dd, r * r_hat))
     rho = bloch_to_density(r * r_hat)
     return OracleResult(choi, bloch_affine_map(choi), _observation_o1(rho, m),
                         {"lam": float(lam), "dd": float(dd)})

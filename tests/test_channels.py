@@ -168,6 +168,16 @@ class TestKraus:
         with pytest.raises(NotAChannelError):
             choi_from_kraus([0.5 * np.eye(2)], 2)
 
+    @pytest.mark.parametrize("d", [None, 2])
+    def test_empty_kraus_set_is_not_a_channel(self, d):
+        with pytest.raises(NotAChannelError, match="empty Kraus set"):
+            choi_from_kraus([], d)
+
+    def test_choi_from_kraus_takes_d_from_first_operator(self):
+        choi = choi_from_kraus([PAULI_X])
+        assert choi.d == 2
+        assert np.allclose(choi.matrix, unitary_choi(PAULI_X).matrix)
+
 
 class TestRandomChannel:
     def test_is_valid(self, rng):

@@ -513,6 +513,12 @@ class TestProcessMeasurementSpec:
                                       observable=np.eye(3))
         with pytest.raises(DimensionError, match=r"^dimension 3 does not factor as D\*2$"):
             spec.reduce(2)
+        spec = ProcessMeasurementSpec("ancilla_free", state=ID2 / 2, observable=PAULI_Z,
+                                      label="f")
+        with pytest.raises(DimensionError,
+                           match=r"^ancilla-free test state 'f' has shape \(2, 2\), "
+                                 r"expected \(3, 3\)$"):
+            spec.reduce(3)
 
     def test_arrays_are_read_only_copies(self, rng):
         rho, F, X = random_state(2, rng), PAULI_Z.copy(), np.kron(ID2, PAULI_X)

@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from procmaxent import (
     solve_maxent,
 )
 from procmaxent.linalg import ID2, PAULI_Z, frobenius
+from procmaxent.oracles import _o1_equations, _o1_lam
 
 from conftest import random_unit_vector
 
@@ -113,7 +115,9 @@ class TestOracleO1Transcendental:
         check_self_consistent(oracle_O1_transcendental(r, m), tol=1e-9)
 
     def test_matches_solver(self, rng):
-        for r, m in [(0.5, 0.3), (0.8, -0.4)]:
+        # at (0.8, +-0.97) both multipliers are near 4, far from the
+        # closed forms of the r -> 0 and r -> 1 limits
+        for r, m in [(0.5, 0.3), (0.8, -0.4), (0.8, 0.97), (0.8, -0.97)]:
             res = oracle_O1_transcendental(r, m, random_unit_vector(rng))
             sol = solve_maxent(res.observation)
             assert frobenius(sol.choi.matrix - res.choi.matrix) < 1e-8
@@ -133,11 +137,31 @@ class TestOracleO1Transcendental:
         assert res.multipliers["dd"] == pytest.approx(pure.multipliers["dd"],
                                                       abs=1e-5)
 
+    @pytest.mark.parametrize("r", [1e-4, 0.01, 0.2, 0.5, 0.8, 0.99, 1.0 - 1e-7])
+    def test_grid_solves(self, r):
+        for m in np.linspace(-0.97, 0.97, 25):
+            mult = oracle_O1_transcendental(r, m).multipliers
+            resid = _o1_equations((mult["lam"], mult["dd"]), r, m)
+            assert np.abs(resid).max() <= 1e-12
+
+    def test_lam_at_r_one_is_pure_closed_form(self):
+        dd = np.linspace(-5.0, 5.0, 401)
+        assert np.abs(_o1_lam(dd, 1.0) - 0.5 * np.log(np.cosh(2.0 * dd))).max() < 1e-14
+
+    def test_one_root_near_pure_boundary(self):
+        # the reduced dual is strictly convex, so there is one root and
+        # no warning even where the multipliers are large
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = oracle_O1_transcendental(1e-4, 1.0 - 1e-9)
+        assert res.multipliers["dd"] < -10.0
+
     def test_no_root_raises_oracle_failure(self):
-        # no seed reaches a residual of 1e-12 here; steps into overflow
-        # are rejected without a warning
+        # the root exists, but at dd near -13.2 the equations' terms are
+        # near 6e5, so rounding alone leaves more than the absolute 1e-12;
+        # overflow on the way is suppressed, so no warning is raised
         with pytest.raises(OracleFailureError, match="no residual below 1e-12"):
-            oracle_O1_transcendental(0.8, 0.97)
+            oracle_O1_transcendental(0.8, 0.999)
 
     def test_root_finder_needs_numpy_alone(self):
         env = dict(os.environ)

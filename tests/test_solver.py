@@ -326,6 +326,21 @@ class TestSolveMaxent:
         with pytest.raises(ConvergenceError, match="^converged solution violates constraints"):
             solve_maxent(obs)
 
+    def test_determined_probe_outputs_leave_no_state(self):
+        # I/2 goes to the pure output n and the |+x> and |+y> probes to -n:
+        # each output is pure, so each probe pins a face, and no channel
+        # lies on all three (linearity would send |-x> to 3n)
+        n = (0.6, 0.0, 0.8)
+        probes = [(0.5 * ID2, n), (bloch_to_density([1.0, 0.0, 0.0]), np.negative(n)),
+                  (bloch_to_density([0.0, 1.0, 0.0]), np.negative(n))]
+        obs = ObservationLevel(d=2, constraints=tuple(
+            Constraint(reduce_ancilla_free(rho, P), x, label=f"p{p}:{k}")
+            for p, (rho, xs) in enumerate(probes)
+            for k, (P, x) in enumerate(zip((PAULI_X, PAULI_Y, PAULI_Z), xs))
+        ))
+        with pytest.raises(InfeasibleError, match="determine for their probes leave no state"):
+            solve_maxent(obs)
+
     def test_multipliers_label_alignment(self):
         obs = obs_single(reduce_ancilla_free(0.5 * ID2, PAULI_Z), 0.5, label="m")
         sol = solve_maxent(obs)
