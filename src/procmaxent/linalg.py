@@ -8,6 +8,8 @@ rather than silently repair, so callers can rely on the invariants
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, InvariantError
@@ -40,6 +42,23 @@ def kron(A, B):
     A, B = np.asarray(A), np.asarray(B)
     (m, n), (p, q) = A.shape, B.shape
     return (A[:, None, :, None] * B[None, :, None, :]).reshape(m * p, n * q)
+
+
+def real_coordinates(A):
+    """Re A + Im A, flattened over the last two axes: for Hermitian k x k
+    matrices an isometry onto R^(k**2), Tr(X Y) = c(X) . c(Y), as Re X is
+    symmetric and Im Y antisymmetric; from_real_coordinates inverts it."""
+    A = np.asarray(A)
+    return (A.real + A.imag).reshape(A.shape[:-2] + (A.shape[-2] * A.shape[-1],))
+
+
+def from_real_coordinates(c):
+    """The Hermitian matrices with real coordinates c: the symmetric part
+    of c as k x k matrices plus i times its antisymmetric part."""
+    c = np.asarray(c)
+    M = c.reshape(c.shape[:-1] + (math.isqrt(c.shape[-1]),) * 2)
+    T = M.swapaxes(-1, -2)
+    return 0.5 * ((M + T) + 1j * (M - T))
 
 
 def check_hermitian(A, name="operator"):

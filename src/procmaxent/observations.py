@@ -41,6 +41,7 @@ from .linalg import (
     expectation,
     hermitian_basis,
     kron,
+    real_coordinates,
 )
 
 # Relative distance from the span of its predecessors at or below which
@@ -136,20 +137,6 @@ def tp_constraints(d):
     return list(_tp_block(d)[0])
 
 
-@functools.lru_cache(maxsize=None)
-def _coordinate_index(dim):
-    """Flat indices of the diagonal and of the upper triangle of a
-    dim x dim matrix.  For Hermitian X the diagonal, then sqrt(2) times
-    the real and the imaginary parts of the upper triangle, are real
-    coordinates in which the dot product is the Hilbert-Schmidt product
-    Tr(XY)."""
-    j, k = np.triu_indices(dim, 1)
-    index = (np.arange(dim) * (dim + 1), j * dim + k)
-    for a in index:
-        a.setflags(write=False)
-    return index
-
-
 def span_report(ops, targets):
     """Split operators, in order, into those independent of their
     predecessors and those in their span, which the identity
@@ -160,11 +147,12 @@ def span_report(ops, targets):
     operators must be Hermitian.
 
     One Householder QR factorization A = QR of the columns [I/sqrt(D),
-    X_1, ..., X_n], in real coordinates where the dot product is the
-    Hilbert-Schmidt product, gives |R_jj|, the distance of column j from
-    the span of the columns before it (Golub and Van Loan, Matrix
-    Computations, sec. 5.2); X_j is dependent when that distance is at
-    most INDEPENDENCE_TOL * max(1, |X_j|).  Columns past the row count of
+    X_1, ..., X_n], in the real coordinates Re X + Im X, in which the dot
+    product is the Hilbert-Schmidt product (linalg.real_coordinates),
+    gives |R_jj|, the distance of column j from the span of the columns
+    before it (Golub and Van Loan, Matrix Computations, sec. 5.2); X_j is
+    dependent when that distance is at most INDEPENDENCE_TOL * max(1,
+    |X_j|).  Columns past the row count of
     R (more operators than D**2) have distance 0.  At the first dependent
     column p, R[:p, :p]^T c = (1/sqrt(D), targets kept so far) gives the
     implied target R[:p, p] . c.  The columns after p whose distance from the
@@ -174,20 +162,13 @@ def span_report(ops, targets):
     rest, so that no dependent column enters the basis.  With no
     dependent column the report costs one factorization.
     """
-    ops = np.ascontiguousarray(ops, dtype=complex)
+    ops = np.asarray(ops)
     keep, dependent, implied = [], [], []
     if len(ops) == 0:
         return keep, dependent, implied
     n, dim = len(ops), ops.shape[1]
     targets = np.asarray(targets, dtype=float)
-    diag, upper = _coordinate_index(dim)
-    flat = ops.reshape(n, -1)
-    cols = np.zeros((n + 1, dim * dim))
-    cols[0, :dim] = 1.0 / np.sqrt(dim)
-    cols[1:, :dim] = flat[:, diag].real
-    off = np.sqrt(2.0) * flat[:, upper]
-    cols[1:, dim:dim + len(upper)] = off.real
-    cols[1:, dim + len(upper):] = off.imag
+    cols = real_coordinates(np.concatenate((np.eye(dim)[None] / np.sqrt(dim), ops)))
     thresh = INDEPENDENCE_TOL * np.maximum(1.0, np.linalg.norm(cols[1:], axis=1))
     rest = np.arange(n)
     while len(rest):

@@ -65,8 +65,8 @@ ConvergenceError on a failed line search or after _MAX_ITER = 500
 iterations.  An estimate is accepted once, when it meets every
 constraint, trace preservation included, to 10 _GRAD_TOL, and its
 marginal Tr_2 omega is I/d to the tolerance ChoiState checks.
-The traces against the operator stack (the exponent, the means, the
-residuals) are each one real matrix-vector product on its float view.
+Every trace against the operator stack is a real product in the
+coordinates Re X + Im X (linalg.real_coordinates).
 """
 
 from __future__ import annotations
@@ -88,8 +88,10 @@ from .linalg import (
     SUPPORT_TOL,
     dag,
     frobenius,
+    from_real_coordinates,
     kron,
     partial_trace,
+    real_coordinates,
     spectrum_entropy,
 )
 from .observations import ObservationLevel, probe_groups, span_report
@@ -162,32 +164,22 @@ class DualPoint(NamedTuple):
     p: np.ndarray         # Gibbs weights e^w/Z, the state's eigenvalues along V
 
 
-def _flat(ops):
-    """The stack of k x k operators ops as an (n, 2 k**2) real array: for
-    Hermitian X and Y, Re Tr(X Y) is the dot product of the float views
-    of vec X and vec Y, so every trace against a stack is one real
-    matrix-vector product."""
-    ops = np.ascontiguousarray(ops, dtype=complex)
-    return ops.reshape(len(ops), ops.shape[-1] ** 2).view(float)
-
-
-def _dual_pieces(lam, ops, targets, base=None):
+def _dual_pieces(lam, coords, targets, base=None):
     """Dual value, gradient and primal state from one eigendecomposition,
-    which the point keeps for dual_hessian.
+    which the point keeps for dual_hessian; coords are the operators'
+    real coordinates (linalg.real_coordinates).
 
     ln Z is computed with a max-eigenvalue shift for overflow safety.
     """
-    flat, k = _flat(ops), ops.shape[-1]
-    A = (lam @ flat).view(complex).reshape(k, k)
-    A = -A if base is None else base - A
-    w, V = np.linalg.eigh(0.5 * (A + dag(A)))
+    A = from_real_coordinates(lam @ coords)
+    w, V = np.linalg.eigh(-A if base is None else base - A)
     shift = w[-1]
     ew = np.exp(w - shift)
     Z = ew.sum()
     ln_z = float(np.log(Z) + shift)
     p = ew / Z
     omega = (V * p) @ dag(V)
-    grad = targets - flat @ omega.reshape(-1).view(float)
+    grad = targets - coords @ real_coordinates(omega)
     return DualPoint(ln_z + float(lam @ targets), grad, omega, w, V, p)
 
 
@@ -196,7 +188,7 @@ def dual_eval(lam, constraints, base=None):
     lam = np.asarray(lam, dtype=float)
     ops = np.array([c.operator for c in constraints])
     targets = np.array([c.target for c in constraints])
-    return _dual_pieces(lam, ops, targets, base=base)
+    return _dual_pieces(lam, real_coordinates(ops), targets, base=base)
 
 
 def dual_hessian(point, ops):
@@ -204,7 +196,8 @@ def dual_hessian(point, ops):
     of the operators ops (stacked, in the frame of the point).
 
     Centering Y_j on its mean folds the -m_j m_k term into the sum, so
-    H = Re(G G^dag) with G_j = sqrt(K) * (Y_j - m_j I) is positive
+    H_jk = Tr(G_j G_k) with G_j = sqrt(K) * (Y_j - m_j I) Hermitian, and
+    H = C C^T, C the real coordinates of the G_j, is positive
     semidefinite by construction.  K_ab is evaluated as max(p_a, p_b)
     (1 - e^-|w_a - w_b|)/|w_a - w_b|, which neither overflows nor loses
     the divided difference to cancellation.
@@ -218,10 +211,8 @@ def dual_hessian(point, ops):
     Y = dag(V) @ np.asarray(ops) @ V
     diag = np.arange(len(w))
     Y[:, diag, diag] -= (Y[:, diag, diag].real @ p)[:, None]
-    # Re(G G^dag) is the real product of the float views of G's rows.
-    G = (np.sqrt(K) * Y).reshape(len(Y), K.size).view(float)
-    H = G @ G.T
-    return 0.5 * (H + H.T)
+    C = real_coordinates(np.sqrt(K) * Y)
+    return C @ C.T
 
 
 def _newton(ops, targets, base, lam=None):
@@ -246,7 +237,8 @@ def _newton(ops, targets, base, lam=None):
     n = len(targets)
     start = "lambda = 0" if lam is None else "the least-squares start"
     lam = np.zeros(n) if lam is None else lam
-    pt = _dual_pieces(lam, ops, targets, base)
+    coords = real_coordinates(ops)
+    pt = _dual_pieces(lam, coords, targets, base)
     mean, floor = np.trace(base).real / len(base), None
     iters = 0
     while True:
@@ -280,7 +272,7 @@ def _newton(ops, targets, base, lam=None):
         t = 1.0
         accepted = None
         for _ in range(_MAX_BACKTRACKS):
-            cand = _dual_pieces(lam + t * step, ops, targets, base)
+            cand = _dual_pieces(lam + t * step, coords, targets, base)
             if (cand.value <= pt.value + _ARMIJO_C * t * slope
                     or (abs(cand.value - pt.value) <= roundoff
                         and np.abs(cand.gradient).max() < gnorm)):
@@ -363,25 +355,26 @@ def _fit_state(ops, targets, U, r):
     stack several such problems, which share U and r.  U None stands for
     the identity.
 
-    For Hermitian Y, Tr(X Y) = conj(vec Y) . vec X, so the free entries
-    of X solve a linear system with one row per constraint.  The R factor
-    of one Householder QR of [rows, (1, x)] gives them by a triangular
-    solve.
+    In real coordinates Tr(X Y) = c(X) . c(Y) and X's zero block is zero
+    in c(X), so the free coordinates solve a real linear system with one
+    row per constraint.  The R factor of one Householder QR of [rows, (1,
+    x)] gives them by a triangular solve; X is rebuilt from them.
     """
     k = ops.shape[-1]
     lead = ops.shape[:-3]
-    eye = np.broadcast_to(np.eye(k, dtype=complex), lead + (1, k, k))
+    eye = np.broadcast_to(np.eye(k), lead + (1, k, k))
     Y = np.concatenate((eye, ops if U is None else dag(U) @ ops @ U), axis=-3)
     free = np.ones((k, k), dtype=bool)
     free[r:, r:] = False
-    A = Y.reshape(Y.shape[:-2] + (k * k,))[..., free.reshape(-1)].conj()
+    free = free.reshape(-1)
+    A = real_coordinates(Y)[..., free]
     m = A.shape[-1]
     b = np.concatenate((np.ones(lead + (1,)), targets), axis=-1)
     R = np.linalg.qr(np.concatenate((A, b[..., None]), axis=-1), mode="r")
-    X = np.zeros(lead + (k, k), dtype=complex)
-    X[..., free] = np.linalg.solve(R[..., :m, :m], R[..., :m, m:])[..., 0]
-    sigma = X if U is None else U @ X @ dag(U)
-    return 0.5 * (sigma + sigma.conj().swapaxes(-1, -2))
+    c = np.zeros(lead + (k * k,))
+    c[..., free] = np.linalg.solve(R[..., :m, :m], R[..., :m, m:])[..., 0]
+    X = from_real_coordinates(c)
+    return X if U is None else U @ X @ dag(U)
 
 
 def _determined_images(ops, targets, what):
@@ -454,7 +447,7 @@ def _least_squares_state(f_ops, targets, kept_ops, kept_targets, base):
     start, the optimum where log omega_LS lies in the span.
     """
     k = base.shape[0]
-    F = _flat(np.concatenate((np.eye(k, dtype=complex)[None], kept_ops)))
+    F = real_coordinates(np.concatenate((np.eye(k)[None], kept_ops)))
     G = F @ F.T
     omega = None
     if len(kept_ops) == k * k - 1:
@@ -468,10 +461,10 @@ def _least_squares_state(f_ops, targets, kept_ops, kept_targets, base):
         tol = _TARGET_TOL * np.maximum(1.0, np.abs(kept_targets))
         if np.any(np.abs(F[1:] @ vec - kept_targets) > tol):
             return None, None, None, None, None
-        w, V = np.linalg.eigh(vec.view(complex).reshape(k, k))
+        w, V = np.linalg.eigh(from_real_coordinates(vec))
         if w[0] <= _FACE_TOL:
             return None, None, None, None, None
-    b = (base - (V * np.log(w)) @ dag(V)).reshape(-1).view(float)
+    b = real_coordinates(base - (V * np.log(w)) @ dag(V))
     coef = np.linalg.solve(G, F @ b)
     coef += np.linalg.solve(G, F @ (b - coef @ F))
     return None, coef[0], coef[1:], omega, w
@@ -596,7 +589,7 @@ def _package(obs, core):
     Tr_2 omega is I/d to CPTP_TOL, as ChoiState checks it; any other is a
     ConvergenceError."""
     sigma = 0.5 * (core.sigma + dag(core.sigma))
-    residuals = np.abs(_flat(obs.operators) @ sigma.reshape(-1).view(float) - obs.targets)
+    residuals = np.abs(real_coordinates(obs.operators) @ real_coordinates(sigma) - obs.targets)
     worst = residuals.max(initial=0.0)
     tp_dev = frobenius(partial_trace(sigma, (obs.d, obs.d), "second") - np.eye(obs.d) / obs.d)
     if worst > 10.0 * _GRAD_TOL or tp_dev > CPTP_TOL:
