@@ -8,8 +8,6 @@ rather than silently repair, so callers can rely on the invariants
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DimensionError, InvariantError
@@ -56,9 +54,8 @@ def from_real_coordinates(c):
     """The Hermitian matrices with real coordinates c: the symmetric part
     of c as k x k matrices plus i times its antisymmetric part."""
     c = np.asarray(c)
-    M = c.reshape(c.shape[:-1] + (math.isqrt(c.shape[-1]),) * 2)
-    T = M.swapaxes(-1, -2)
-    return 0.5 * ((M + T) + 1j * (M - T))
+    M = c.reshape(c.shape[:-1] + (round(c.shape[-1] ** 0.5),) * 2)
+    return (0.5 + 0.5j) * M + (0.5 - 0.5j) * M.swapaxes(-1, -2)
 
 
 def check_hermitian(A, name="operator"):

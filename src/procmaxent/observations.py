@@ -146,27 +146,26 @@ def span_report(ops, targets):
     operator, the target that its predecessors' targets imply.  The
     operators must be Hermitian.
 
-    One Householder QR factorization A = QR of the columns [I/sqrt(D),
-    X_1, ..., X_n], in the real coordinates Re X + Im X, in which the dot
-    product is the Hilbert-Schmidt product (linalg.real_coordinates),
-    gives |R_jj|, the distance of column j from the span of the columns
-    before it (Golub and Van Loan, Matrix Computations, sec. 5.2); X_j is
-    dependent when that distance is at most INDEPENDENCE_TOL * max(1,
-    |X_j|).  Columns past the row count of
-    R (more operators than D**2) have distance 0.  At the first dependent
-    column p, R[:p, :p]^T c = (1/sqrt(D), targets kept so far) gives the
-    implied target R[:p, p] . c.  The columns after p whose distance from the
-    span of the columns before p, the norm of R[p:, j], is within
-    tolerance are dependent as well, up to the first that is not; the
-    factorization is then repeated on the kept columns followed by the
-    rest, so that no dependent column enters the basis.  With no
-    dependent column the report costs one factorization.
+    One Householder QR factorization A = QR of the columns [I/sqrt(D), X_1,
+    ..., X_n], in the real coordinates Re X + Im X, in which the dot
+    product is the Hilbert-Schmidt product (linalg.real_coordinates), gives
+    |R_jj|, the distance of column j from the span of the columns before it
+    (Golub and Van Loan, Matrix Computations, sec. 5.2); X_j is dependent
+    when that distance is at most INDEPENDENCE_TOL * max(1, |X_j|).
+    Columns past the row count of R (more operators than D**2) have
+    distance 0.  At the first dependent column p, R[:p, :p]^T c =
+    (1/sqrt(D), targets kept so far) gives the implied target
+    R[:p, p] . c.  The columns after p whose distance from the span of the
+    columns before p, the norm of R[p:, j], is within tolerance are
+    dependent as well, up to the first that is not; the factorization is
+    then repeated on the kept columns followed by the rest, so that no
+    dependent column enters the basis.  With no dependent column the
+    report costs one factorization.
     """
-    ops = np.asarray(ops)
     keep, dependent, implied = [], [], []
     if len(ops) == 0:
         return keep, dependent, implied
-    n, dim = len(ops), ops.shape[1]
+    n, dim = len(ops), np.shape(ops)[1]
     targets = np.asarray(targets, dtype=float)
     cols = real_coordinates(np.concatenate((np.eye(dim)[None] / np.sqrt(dim), ops)))
     thresh = INDEPENDENCE_TOL * np.maximum(1.0, np.linalg.norm(cols[1:], axis=1))

@@ -135,7 +135,8 @@ def oracle_O1_transcendental(r, m, r_hat=(0.0, 0.0, 1.0)):
     cosh(v r)) (m - M(dd)), with u = lam + dd, v = lam - dd and M(dd) the
     model's mean, which falls strictly with dd.  Its single root is
     bracketed by doubling [-1, 1] and bisected until the midpoint is an
-    endpoint; both equations are then checked to residual 1e-12."""
+    endpoint; both equations, divided by that positive factor, are then
+    checked to residual 1e-12."""
     if not (0.0 < r < 1.0):
         raise InvariantError(f"r must lie in (0, 1), got {r}")
     if abs(m) >= 1.0:
@@ -156,7 +157,8 @@ def oracle_O1_transcendental(r, m, r_hat=(0.0, 0.0, 1.0)):
         while lo < (dd := 0.5 * (lo + hi)) < hi and (s := sign_f2(dd)):
             lo, hi = (dd, hi) if s == s_lo else (lo, dd)
         lam = _o1_lam(dd, r)
-        resid = np.abs(_o1_equations((lam, dd), r, m)).max()
+        scale = np.exp(-dd) * np.cosh((lam + dd) * r) + np.exp(dd) * np.cosh((lam - dd) * r)
+        resid = np.abs(_o1_equations((lam, dd), r, m)).max() / scale
     if not resid <= 1e-12:
         raise OracleFailureError(
             f"root finder failed for (r={r}, m={m}); no residual below 1e-12"

@@ -59,14 +59,16 @@ Newton from lam = 0.
 The solver has no options: the record alone defines the estimate.
 Newton decides its own outcome (_newton) and stops for one of three
 reasons: it converges when the dual gradient's max-norm is at most
-_GRAD_TOL = 1e-10; it raises InfeasibleError at the first iterate whose
-dual value weak duality shows no feasible state allows; and it raises
-ConvergenceError on a failed line search or after _MAX_ITER = 500
-iterations.  An estimate is accepted once, when it meets every
-constraint, trace preservation included, to 10 _GRAD_TOL, and its
-marginal Tr_2 omega is I/d to the tolerance ChoiState checks.
-Every trace against the operator stack is a real product in the
-coordinates Re X + Im X (linalg.real_coordinates).
+_GRAD_TOL = 1e-10, or at most 10 _GRAD_TOL at an iterate that meets
+every constraint on the frame, pruned ones included, to 5 _GRAD_TOL; it
+raises InfeasibleError at the first iterate whose dual value weak
+duality shows no feasible state allows; and it raises ConvergenceError
+on a failed line search or after _MAX_ITER = 500 iterations.  An
+estimate is accepted once, when it meets every constraint, trace
+preservation included, to 10 _GRAD_TOL, and its marginal Tr_2 omega is
+I/d to the tolerance ChoiState checks.  Every trace against the
+operator stack is a real product in the coordinates Re X + Im X
+(linalg.real_coordinates).
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ from .channels import CPTP_TOL, ChoiState
 from .errors import (
     BoundaryCaseError,
     ConvergenceError,
+    DimensionError,
     InfeasibleError,
     InvariantError,
 )
@@ -166,29 +169,29 @@ class DualPoint(NamedTuple):
 
 def _dual_pieces(lam, coords, targets, base=None):
     """Dual value, gradient and primal state from one eigendecomposition,
-    which the point keeps for dual_hessian; coords are the operators'
-    real coordinates (linalg.real_coordinates).
-
-    ln Z is computed with a max-eigenvalue shift for overflow safety.
-    """
+    which the point keeps for dual_hessian, given the operators' real
+    coordinates; ln Z is shifted by the largest eigenvalue against
+    overflow."""
     A = from_real_coordinates(lam @ coords)
     w, V = np.linalg.eigh(-A if base is None else base - A)
-    shift = w[-1]
-    ew = np.exp(w - shift)
+    ew = np.exp(w - w[-1])
     Z = ew.sum()
-    ln_z = float(np.log(Z) + shift)
     p = ew / Z
     omega = (V * p) @ dag(V)
     grad = targets - coords @ real_coordinates(omega)
-    return DualPoint(ln_z + float(lam @ targets), grad, omega, w, V, p)
+    return DualPoint(float(np.log(Z) + w[-1]) + float(lam @ targets), grad, omega, w, V, p)
 
 
 def dual_eval(lam, constraints, base=None):
-    """Public dual oracle over a list of Constraint objects."""
-    lam = np.asarray(lam, dtype=float)
-    ops = np.array([c.operator for c in constraints])
-    targets = np.array([c.target for c in constraints])
-    return _dual_pieces(lam, real_coordinates(ops), targets, base=base)
+    """Public dual oracle over a list of Constraint objects.  With none,
+    base gives the dimension and the value ln Tr e^base; without base
+    either there is no dimension (DimensionError)."""
+    if base is None and not constraints:
+        raise DimensionError("dual_eval needs a constraint or a base to fix the dimension")
+    k = len(base) if base is not None else len(constraints[0].operator)
+    ops = np.array([c.operator for c in constraints], dtype=complex).reshape(-1, k, k)
+    targets = np.array([c.target for c in constraints], dtype=float)
+    return _dual_pieces(np.asarray(lam, dtype=float), real_coordinates(ops), targets, base)
 
 
 def dual_hessian(point, ops):
@@ -215,9 +218,19 @@ def dual_hessian(point, ops):
     return C @ C.T
 
 
-def _newton(ops, targets, base, lam=None):
+def _residuals(coords, targets, state):
+    """|Tr(state X_j) - x_j| for the operators X_j with real coordinates
+    coords: what the acceptance check and Newton's stop compare."""
+    return np.abs(coords @ real_coordinates(state) - targets)
+
+
+def _newton(ops, targets, base, lam=None, every=None):
     """Minimize the dual from lam (zero when None) to ||g||_inf <=
-    _GRAD_TOL, and return (lam, point, iterations).
+    _GRAD_TOL, or to 10 _GRAD_TOL at an iterate that meets every
+    constraint on the frame to 5 _GRAD_TOL, an estimate the acceptance
+    check takes; return (lam, point, iterations).  every holds the real
+    coordinates and targets of those constraints, pruned ones included
+    (None: ops and targets).
 
     Weak duality is checked at every iterate: for every state omega on
     the frame that meets the targets, ln Z(lam) >= S(omega) + Tr(omega
@@ -238,12 +251,14 @@ def _newton(ops, targets, base, lam=None):
     start = "lambda = 0" if lam is None else "the least-squares start"
     lam = np.zeros(n) if lam is None else lam
     coords = real_coordinates(ops)
+    every_coords, every_targets = every or (coords, targets)
     pt = _dual_pieces(lam, coords, targets, base)
     mean, floor = np.trace(base).real / len(base), None
     iters = 0
     while True:
         gnorm = np.abs(pt.gradient).max() if n else 0.0
-        if gnorm <= _GRAD_TOL:
+        if gnorm <= _GRAD_TOL or (gnorm <= 10.0 * _GRAD_TOL and _residuals(
+                every_coords, every_targets, pt.omega).max() <= 5.0 * _GRAD_TOL):
             return lam, pt, iters
         if pt.value < mean:
             floor = np.linalg.eigvalsh(base)[0] if floor is None else floor
@@ -270,19 +285,16 @@ def _newton(ops, targets, base, lam=None):
         # there a step is judged by the gradient's max-norm instead.
         roundoff = 1e-12 * max(1.0, abs(pt.value))
         t = 1.0
-        accepted = None
         for _ in range(_MAX_BACKTRACKS):
             cand = _dual_pieces(lam + t * step, coords, targets, base)
             if (cand.value <= pt.value + _ARMIJO_C * t * slope
                     or (abs(cand.value - pt.value) <= roundoff
                         and np.abs(cand.gradient).max() < gnorm)):
-                accepted = cand
                 break
             t *= _BACKTRACK
-        if accepted is None:
+        else:
             break
-        lam = lam + t * step
-        pt = accepted
+        lam, pt = lam + t * step, cand
     raise ConvergenceError(
         f"dual solver did not converge after {iters} iterations from {start} on a "
         f"frame of dimension {len(base)} (gradient norm {gnorm:.3e}, largest "
@@ -364,9 +376,7 @@ def _fit_state(ops, targets, U, r):
     lead = ops.shape[:-3]
     eye = np.broadcast_to(np.eye(k), lead + (1, k, k))
     Y = np.concatenate((eye, ops if U is None else dag(U) @ ops @ U), axis=-3)
-    free = np.ones((k, k), dtype=bool)
-    free[r:, r:] = False
-    free = free.reshape(-1)
+    free = np.minimum.outer(np.arange(k), np.arange(k)).reshape(-1) < r
     A = real_coordinates(Y)[..., free]
     m = A.shape[-1]
     b = np.concatenate((np.ones(lead + (1,)), targets), axis=-1)
@@ -527,14 +537,11 @@ def _solve_core(ops, targets, labels, frame, base, d=None, ends=None):
     state the constraints determine, or, once per solve, the face the
     determined outputs of the probes prove (_probe_face; only when d, the
     channel dimension of a record with trace-preservation constraints,
-    is given).  Each pass that no pinned target narrows makes one call to
-    _least_squares_state, which fits the least-squares feasible state:
-    on a determined pass (the kept constraints and the identity span the
-    Hermitian operators on the frame) it is the estimate, without Newton,
-    unless it is singular and its support is the face; on any other pass,
-    when it is positive definite, no proper face exists and Newton runs
-    from its multipliers.  Otherwise the probe faces are sought, once per
-    solve, and a pass they leave unnarrowed runs Newton from lam = 0.  A
+    is given).  Each pass that no pinned target narrows fits the
+    least-squares feasible state (_least_squares_state), which is the
+    estimate, gives the face or starts Newton; when it does none of
+    these, the probe faces are sought, once per solve, and a pass they
+    leave unnarrowed runs Newton from lam = 0.  A
     constraint pinned on the whole frame equals x I there, which pruning
     removes, so each face is proper and the loop ends within dim passes.
 
@@ -571,7 +578,8 @@ def _solve_core(ops, targets, labels, frame, base, d=None, ends=None):
                 searched = True
                 face = _probe_face(ops, targets, W, d)
         if face is None:
-            lam_kept, point, iterations = _newton(kept_ops, kept_targets, f_base, lam_kept)
+            lam_kept, point, iterations = _newton(kept_ops, kept_targets, f_base, lam_kept,
+                                                  (real_coordinates(f_ops), targets))
             sigma, w = point.omega, point.p
             ln_z = point.value - float(lam_kept @ kept_targets)
             break
@@ -589,7 +597,7 @@ def _package(obs, core):
     Tr_2 omega is I/d to CPTP_TOL, as ChoiState checks it; any other is a
     ConvergenceError."""
     sigma = 0.5 * (core.sigma + dag(core.sigma))
-    residuals = np.abs(real_coordinates(obs.operators) @ real_coordinates(sigma) - obs.targets)
+    residuals = _residuals(real_coordinates(obs.operators), obs.targets, sigma)
     worst = residuals.max(initial=0.0)
     tp_dev = frobenius(partial_trace(sigma, (obs.d, obs.d), "second") - np.eye(obs.d) / obs.d)
     if worst > 10.0 * _GRAD_TOL or tp_dev > CPTP_TOL:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from procmaxent import (
     DimensionError,
@@ -22,10 +23,37 @@ from procmaxent.linalg import (
     dag,
     density_to_bloch,
     frobenius,
+    from_real_coordinates,
     kron,
+    real_coordinates,
 )
 
 from conftest import random_hermitian, random_state, random_unitary
+
+
+class TestRealCoordinates:
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(1, 4), n=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_dot_product_is_trace_and_inverse_rebuilds(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        X = np.array([random_hermitian(d, rng) for _ in range(n)]).reshape(n, d, d)
+        Y = random_hermitian(d, rng)
+        c = real_coordinates(X)
+        assert c.shape == (n, d * d) and c.dtype == float
+        traces = np.einsum("nab,ba->n", X, Y).real
+        assert np.abs(c @ real_coordinates(Y) - traces).max(initial=0.0) <= 1e-12
+        assert np.abs(from_real_coordinates(c) - X).max(initial=0.0) <= 1e-12
+
+    def test_empty_stack(self):
+        # a reshape to (0, -1) cannot infer the row length
+        c = real_coordinates(np.zeros((0, 3, 3), dtype=complex))
+        assert c.shape == (0, 9)
+        assert from_real_coordinates(c).shape == (0, 3, 3)
+
+    def test_real_matrix(self):
+        A = np.array([[1.0, 2.0], [2.0, -3.0]])
+        assert np.array_equal(real_coordinates(A), A.reshape(-1))
+        assert np.array_equal(from_real_coordinates(real_coordinates(A)), A)
 
 
 class TestHermitianBasis:

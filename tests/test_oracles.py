@@ -116,8 +116,10 @@ class TestOracleO1Transcendental:
 
     def test_matches_solver(self, rng):
         # at (0.8, +-0.97) both multipliers are near 4, far from the
-        # closed forms of the r -> 0 and r -> 1 limits
-        for r, m in [(0.5, 0.3), (0.8, -0.4), (0.8, 0.97), (0.8, -0.97)]:
+        # closed forms of the r -> 0 and r -> 1 limits; at (0.8, 0.999)
+        # they are near 13, where the equations' terms are near 6e5 and
+        # only their residuals divided by that scale reach 1e-12
+        for r, m in [(0.5, 0.3), (0.8, -0.4), (0.8, 0.97), (0.8, -0.97), (0.8, 0.999)]:
             res = oracle_O1_transcendental(r, m, random_unit_vector(rng))
             sol = solve_maxent(res.observation)
             assert frobenius(sol.choi.matrix - res.choi.matrix) < 1e-8
@@ -157,11 +159,11 @@ class TestOracleO1Transcendental:
         assert res.multipliers["dd"] < -10.0
 
     def test_no_root_raises_oracle_failure(self):
-        # the root exists, but at dd near -13.2 the equations' terms are
-        # near 6e5, so rounding alone leaves more than the absolute 1e-12;
-        # overflow on the way is suppressed, so no warning is raised
+        # the root lies past dd = -355, where lam(dd) overflows, so the
+        # bracket search ends on a non-finite value; overflow on the way
+        # is suppressed, so no warning is raised
         with pytest.raises(OracleFailureError, match="no residual below 1e-12"):
-            oracle_O1_transcendental(0.8, 0.999)
+            oracle_O1_transcendental(0.99, 1.0 - 1e-15)
 
     def test_root_finder_needs_numpy_alone(self):
         env = dict(os.environ)
