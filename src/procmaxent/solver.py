@@ -200,8 +200,9 @@ def dual_hessian(point, ops):
 
     Centering Y_j on its mean folds the -m_j m_k term into the sum, so
     H_jk = Tr(G_j G_k) with G_j = sqrt(K) * (Y_j - m_j I) Hermitian, and
-    H = C C^T, C the real coordinates of the G_j, is positive
-    semidefinite by construction.  K_ab is evaluated as max(p_a, p_b)
+    H = C C^T, C the real coordinates of the G_j (K is real: sqrt(K)
+    times those of Y_j - m_j I), is positive semidefinite by
+    construction.  K_ab is evaluated as max(p_a, p_b)
     (1 - e^-|w_a - w_b|)/|w_a - w_b|, which neither overflows nor loses
     the divided difference to cancellation.
     """
@@ -214,23 +215,22 @@ def dual_hessian(point, ops):
     Y = dag(V) @ np.asarray(ops) @ V
     diag = np.arange(len(w))
     Y[:, diag, diag] -= (Y[:, diag, diag].real @ p)[:, None]
-    C = real_coordinates(np.sqrt(K) * Y)
+    C = real_coordinates(Y)
+    C *= np.sqrt(K).reshape(-1)
     return C @ C.T
 
 
 def _residuals(coords, targets, state):
-    """|Tr(state X_j) - x_j| for the operators X_j with real coordinates
-    coords: what the acceptance check and Newton's stop compare."""
+    """|Tr(state X_j) - x_j|, X_j given by their real coordinates."""
     return np.abs(coords @ real_coordinates(state) - targets)
 
 
 def _newton(ops, targets, base, lam=None, every=None):
     """Minimize the dual from lam (zero when None) to ||g||_inf <=
-    _GRAD_TOL, or to 10 _GRAD_TOL at an iterate that meets every
-    constraint on the frame to 5 _GRAD_TOL, an estimate the acceptance
-    check takes; return (lam, point, iterations).  every holds the real
-    coordinates and targets of those constraints, pruned ones included
-    (None: ops and targets).
+    _GRAD_TOL, or to 10 _GRAD_TOL at an iterate the acceptance check
+    takes: one that meets every constraint on the frame (every: their
+    real coordinates and targets, pruned ones included; None: ops and
+    targets) to 5 _GRAD_TOL.  Return (lam, point, iterations).
 
     Weak duality is checked at every iterate: for every state omega on
     the frame that meets the targets, ln Z(lam) >= S(omega) + Tr(omega
