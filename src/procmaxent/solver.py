@@ -541,9 +541,9 @@ def _solve_core(ops, targets, labels, frame, base, d=None, ends=None):
     least-squares feasible state (_least_squares_state), which is the
     estimate, gives the face or starts Newton; when it does none of
     these, the probe faces are sought, once per solve, and a pass they
-    leave unnarrowed runs Newton from lam = 0.  A
-    constraint pinned on the whole frame equals x I there, which pruning
-    removes, so each face is proper and the loop ends within dim passes.
+    leave unnarrowed runs Newton from lam = 0.  A constraint pinned on
+    the whole frame equals x I there, which pruning removes, so each face
+    is proper and the loop ends within dim passes.
 
     ends, the least and largest eigenvalue of each operator, says that
     the operators on the whole space are independent (an ObservationLevel

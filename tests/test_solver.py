@@ -316,7 +316,7 @@ class TestSolveMaxent:
     def test_non_convergence_names_start_and_frame(self, monkeypatch):
         # the projector record of draw (2, 1): Newton runs from lambda = 0
         # on the whole frame while its multipliers diverge, and converges
-        # only after 137 iterations, past this budget
+        # only after 138 iterations, past this budget
         monkeypatch.setattr(solver_module, "_MAX_ITER", 50)
         with pytest.raises(ConvergenceError, match=(
                 r"^dual solver did not converge after 50 iterations from "
