@@ -193,6 +193,8 @@ def bloch_to_density(r):
     r = np.asarray(r, dtype=float)
     if r.shape != (3,):
         raise DimensionError(f"Bloch vector must have length 3, got shape {r.shape}")
+    if not np.isfinite(r).all():
+        raise InvariantError("Bloch vector has non-finite entries")
     if np.linalg.norm(r) > 1.0 + 1e-10:
         raise InvariantError(f"Bloch vector norm {np.linalg.norm(r):.12g} exceeds 1")
     return 0.5 * (ID2 + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z)

@@ -101,30 +101,35 @@ class Constraint:
             w = np.linalg.eigvalsh(op)
             ends = (float(w[0]), float(w[-1]))
             _remember(key, ends)
-        if not (ends[0] - 1e-9 <= self.target <= ends[1] + 1e-9):
+        target = self.target
+        if isinstance(target, (complex, np.complexfloating)):
+            # a mean of a Hermitian operator is real to round-off, as
+            # linalg.expectation checks it
+            if abs(target.imag) > 1e-10:
+                raise InvariantError(
+                    f"constraint {self.label!r}: target has imaginary part {target.imag:.3e}"
+                )
+            target = target.real
+        target = float(target)
+        if not (ends[0] - 1e-9 <= target <= ends[1] + 1e-9):
             raise InvariantError(
-                f"constraint {self.label!r}: target {self.target:.12g} outside "
+                f"constraint {self.label!r}: target {target:.12g} outside "
                 f"spectral range [{ends[0]:.12g}, {ends[1]:.12g}]"
             )
         object.__setattr__(self, "operator", op)
-        object.__setattr__(self, "target", float(self.target))
+        object.__setattr__(self, "target", target)
         object.__setattr__(self, "ends", ends)
         object.__setattr__(self, "digest", key)
 
 
 @functools.lru_cache(maxsize=None)
 def _tp_block(d):
-    """The TP constraints of dimension d, built and validated once, with
-    their operators stacked; every array is read-only."""
+    """The TP constraints of dimension d, built and validated once."""
     eye = np.eye(d)
-    cons = tuple(
+    return tuple(
         Constraint(kron(L, eye), 0.0, label=f"tp:{k}")
         for k, L in enumerate(hermitian_basis(d))
     )
-    ops = np.array([c.operator for c in cons])
-    for a in (ops, *(c.operator for c in cons)):
-        a.setflags(write=False)
-    return cons, ops
 
 
 def tp_constraints(d):
@@ -134,7 +139,7 @@ def tp_constraints(d):
     condition Tr_2 omega = I/d.  The constraints (read-only operators)
     are shared by every caller; the list is fresh.
     """
-    return list(_tp_block(d)[0])
+    return list(_tp_block(d))
 
 
 def span_report(ops, targets):
@@ -272,10 +277,8 @@ class ObservationLevel:
                     f"expected ({D}, {D})"
                 )
         object.__setattr__(self, "constraints", cons)
-        tp_cons, tp_ops = _tp_block(self.d)
-        full = cons + tp_cons
-        ops = np.array([c.operator for c in cons], dtype=complex).reshape(-1, D, D)
-        ops = np.concatenate((ops, tp_ops))
+        full = cons + _tp_block(self.d)
+        ops = np.array([c.operator for c in full])
         targets = np.array([c.target for c in full])
         ends = np.array([c.ends for c in full]).reshape(-1, 2)
         for name, value in (("operators", ops), ("targets", targets), ("ends", ends)):
@@ -296,7 +299,7 @@ class ObservationLevel:
 
     def full_constraints(self):
         """User constraints followed by the TP constraints."""
-        return [*self.constraints, *_tp_block(self.d)[0]]
+        return [*self.constraints, *_tp_block(self.d)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,10 +414,10 @@ def sample_shots(mean, shots, seed):
     """Empirical mean of `shots` +/-1 Bernoulli draws with the given
     expectation, from one binomial count of the +1 outcomes, so memory does
     not grow with shots; deterministic for a fixed seed (or Generator)."""
-    if abs(mean) > 1.0:
-        raise InvariantError(f"|mean| = {abs(mean):.12g} exceeds 1")
-    if shots < 1:
-        raise ValueError("shots must be a positive integer")
+    if not -1.0 <= mean <= 1.0:
+        raise InvariantError(f"mean {mean:.12g} lies outside [-1, 1]")
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 1:
+        raise ValueError(f"shots must be a positive integer, got {shots!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     ups = int(rng.binomial(shots, 0.5 * (1.0 + mean)))
     return (2.0 * ups - shots) / shots

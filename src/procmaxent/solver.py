@@ -113,6 +113,10 @@ _TARGET_TOL = 1e-8
 _GRAD_TOL = 1e-10
 # Newton iterations per run before it stops unconverged.
 _MAX_ITER = 500
+# Bytes of each complex temporary of dual_hessian's transform: glibc's
+# default mmap threshold; past it malloc may map and unmap a temporary on
+# every call, and each call pays the page faults.
+_BLOCK_BYTES = 2 ** 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,6 +193,11 @@ def dual_eval(lam, constraints, base=None):
     if base is None and not constraints:
         raise DimensionError("dual_eval needs a constraint or a base to fix the dimension")
     k = len(base) if base is not None else len(constraints[0].operator)
+    for c in constraints:
+        if np.shape(c.operator) != (k, k):
+            raise DimensionError(
+                f"constraint {c.label!r} has shape {np.shape(c.operator)}, expected ({k}, {k})"
+            )
     ops = np.array([c.operator for c in constraints], dtype=complex).reshape(-1, k, k)
     targets = np.array([c.target for c in constraints], dtype=float)
     return _dual_pieces(np.asarray(lam, dtype=float), real_coordinates(ops), targets, base)
@@ -205,6 +214,11 @@ def dual_hessian(point, ops):
     construction.  K_ab is evaluated as max(p_a, p_b)
     (1 - e^-|w_a - w_b|)/|w_a - w_b|, which neither overflows nor loses
     the divided difference to cancellation.
+
+    The operators are transformed in blocks whose complex temporaries
+    hold at most _BLOCK_BYTES each, and each block writes its rows of C,
+    its diagonals centred through a strided view, into the one C of the
+    call.
     """
     w, V, p = point.w, point.V, point.p
     dw = np.abs(w[:, None] - w[None, :])
@@ -212,10 +226,18 @@ def dual_hessian(point, ops):
     ratio = np.ones_like(dw)
     ratio[nonzero] = -np.expm1(-dw[nonzero]) / dw[nonzero]
     K = np.maximum(p[:, None], p[None, :]) * ratio
-    Y = dag(V) @ np.asarray(ops) @ V
-    diag = np.arange(len(w))
-    Y[:, diag, diag] -= (Y[:, diag, diag].real @ p)[:, None]
-    C = real_coordinates(Y)
+    ops = np.asarray(ops)
+    n, k = len(ops), len(w)
+    C = np.empty((n, k * k))
+    Vh = dag(V)
+    block = max(1, _BLOCK_BYTES // (16 * k * k))
+    for s in range(0, n, block):
+        Y = Vh @ ops[s:s + block] @ V
+        diag = Y.reshape(len(Y), k * k)[:, ::k + 1]
+        diag -= (diag.real @ p)[:, None]
+        np.add(Y.real, Y.imag, out=C[s:s + block].reshape(Y.shape))
+        # freed before the next block's transform is allocated
+        del Y, diag
     C *= np.sqrt(K).reshape(-1)
     return C @ C.T
 
@@ -225,12 +247,13 @@ def _residuals(coords, targets, state):
     return np.abs(coords @ real_coordinates(state) - targets)
 
 
-def _newton(ops, targets, base, lam=None, every=None):
+def _newton(ops, coords, targets, base, lam=None, every=None):
     """Minimize the dual from lam (zero when None) to ||g||_inf <=
     _GRAD_TOL, or to 10 _GRAD_TOL at an iterate the acceptance check
     takes: one that meets every constraint on the frame (every: their
-    real coordinates and targets, pruned ones included; None: ops and
-    targets) to 5 _GRAD_TOL.  Return (lam, point, iterations).
+    real coordinates and targets, pruned ones included; None: coords, the
+    real coordinates of ops, and targets) to 5 _GRAD_TOL.  Return (lam,
+    point, iterations).
 
     Weak duality is checked at every iterate: for every state omega on
     the frame that meets the targets, ln Z(lam) >= S(omega) + Tr(omega
@@ -250,7 +273,6 @@ def _newton(ops, targets, base, lam=None, every=None):
     n = len(targets)
     start = "lambda = 0" if lam is None else "the least-squares start"
     lam = np.zeros(n) if lam is None else lam
-    coords = real_coordinates(ops)
     every_coords, every_targets = every or (coords, targets)
     pt = _dual_pieces(lam, coords, targets, base)
     mean, floor = np.trace(base).real / len(base), None
@@ -427,22 +449,35 @@ def _determined_images(ops, targets, what):
     return sigma, w, V, supports
 
 
-def _least_squares_state(f_ops, targets, kept_ops, kept_targets, base):
+def _span_coordinates(ops):
+    """The real coordinates (linalg.real_coordinates) of the identity and
+    of each of the operators ops, in that order, written into one array."""
+    m, k = len(ops), ops.shape[-1]
+    F = np.empty((m + 1, k * k))
+    F[0] = 0.0
+    F[0, ::k + 1] = 1.0
+    np.add(ops.real, ops.imag, out=F[1:].reshape(ops.shape))
+    return F
+
+
+def _least_squares_state(f_ops, targets, F, kept_targets, base):
     """The least-squares feasible state omega_LS of a pass on a k-dimensional
     frame, as (face, ln_z, lam, omega, w).
 
-    f_ops and targets are every constraint on the frame, kept_ops and
-    kept_targets those pruning kept.  omega_LS is the Hermitian operator in
-    span{I, X_kept} with Tr omega = 1 and Tr(omega X_j) = x_j.  When the
-    identity and the k**2 - 1 kept operators span the Hermitian operators
-    on the frame (the pass is determined), omega_LS is the one state the
-    record allows, fitted to every constraint by _determined_images: a
-    negative eigenvalue is infeasible, and a singular omega_LS returns its
-    support as face (the rest None).  On any other frame it is the
-    min-norm fit omega = sum_i a_i F_i over F = (I, X_kept), with G a =
-    (1, x) for the Gram matrix G_ik = Tr(F_i F_k); unless it meets the
-    kept targets to the tolerance pruning holds them to and every
-    eigenvalue exceeds _FACE_TOL, everything is None.
+    f_ops and targets are every constraint on the frame, kept_targets the
+    targets pruning kept and F the real coordinates of the identity and
+    the kept operators (_span_coordinates).  omega_LS is the Hermitian
+    operator in span{I, X_kept} with Tr omega = 1 and Tr(omega X_j) =
+    x_j.  When the identity and the k**2 - 1 kept operators span the
+    Hermitian operators on the frame (the pass is determined), omega_LS
+    is the one state the record allows, fitted to every constraint by
+    _determined_images: a negative eigenvalue is infeasible, and a
+    singular omega_LS returns its support as face (the rest None).  On
+    any other frame it is the min-norm fit omega = sum_i a_i F_i over F
+    = (I, X_kept), with G a = (1, x) for the Gram matrix G_ik = Tr(F_i
+    F_k); unless it meets the kept targets to the tolerance pruning
+    holds them to and every eigenvalue exceeds _FACE_TOL, everything is
+    None.
 
     Otherwise a state of full rank on the frame is feasible, so no proper
     face holds the feasible set, and base - log omega_LS is projected onto
@@ -457,10 +492,9 @@ def _least_squares_state(f_ops, targets, kept_ops, kept_targets, base):
     start, the optimum where log omega_LS lies in the span.
     """
     k = base.shape[0]
-    F = real_coordinates(np.concatenate((np.eye(k)[None], kept_ops)))
     G = F @ F.T
     omega = None
-    if len(kept_ops) == k * k - 1:
+    if len(F) == k * k:
         omega, w, V, (face,) = _determined_images(f_ops[None], targets[None],
                                                   "a state on the face")
         if face is not None:
@@ -551,6 +585,11 @@ def _solve_core(ops, targets, labels, frame, base, d=None, ends=None):
     basis only, which keeps both, and the first pass on it then neither
     prunes nor takes the spectra again.
 
+    A pass that prunes nothing works on the frame's operator stack itself,
+    not a copy, and each pass that fits omega_LS takes the real
+    coordinates of its kept operators once (_span_coordinates), which
+    the fit and Newton share.
+
     A Newton run that does not converge ends the solve with the error
     _newton raises.
     """
@@ -566,11 +605,13 @@ def _solve_core(ops, targets, labels, frame, base, d=None, ends=None):
     searched = d is None
     while True:
         keep = list(range(n)) if ends is not None else prune_constraints(f_ops, targets, labels)
-        kept_ops, kept_targets = f_ops[keep], targets[keep]
+        pruned = len(keep) < n
+        kept_ops, kept_targets = (f_ops[keep], targets[keep]) if pruned else (f_ops, targets)
         face = _pinned_face(kept_ops, kept_targets, [labels[j] for j in keep], ends)
         ends = None
         if face is None:
-            face, ln_z, lam_kept, sigma, w = _least_squares_state(f_ops, targets, kept_ops,
+            F = _span_coordinates(kept_ops)
+            face, ln_z, lam_kept, sigma, w = _least_squares_state(f_ops, targets, F,
                                                                   kept_targets, f_base)
             if sigma is not None:
                 break
@@ -578,8 +619,9 @@ def _solve_core(ops, targets, labels, frame, base, d=None, ends=None):
                 searched = True
                 face = _probe_face(ops, targets, W, d)
         if face is None:
-            lam_kept, point, iterations = _newton(kept_ops, kept_targets, f_base, lam_kept,
-                                                  (real_coordinates(f_ops), targets))
+            every = (real_coordinates(f_ops), targets) if pruned else None
+            lam_kept, point, iterations = _newton(kept_ops, F[1:], kept_targets, f_base,
+                                                  lam_kept, every)
             sigma, w = point.omega, point.p
             ln_z = point.value - float(lam_kept @ kept_targets)
             break

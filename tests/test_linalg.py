@@ -187,13 +187,15 @@ class TestPartialTrace:
     (lambda: expectation(np.eye(2) / 2, 1j * ID2), InvariantError, "imaginary part"),
     (lambda: bloch_to_density([0.0, 1.0]), DimensionError, "length 3"),
     (lambda: bloch_to_density([0.6, 0.0, 0.9]), InvariantError, "exceeds 1"),
+    (lambda: bloch_to_density([np.nan, 0.0, 0.0]), InvariantError, "non-finite"),
+    (lambda: bloch_to_density([0.0, -np.inf, 0.0]), InvariantError, "non-finite"),
     (lambda: density_to_bloch(np.eye(3) / 3), DimensionError, "qubit state"),
     (lambda: check_hermitian(np.diag([np.nan, 1.0])), InvariantError,
      r"^operator has non-finite entries$"),
     (lambda: check_hermitian([[0.0, np.inf], [np.inf, 0.0]], name="F"), InvariantError,
      r"^F has non-finite entries$"),
 ], ids=["partial-trace-subsystem", "expectation-imaginary", "bloch-shape", "bloch-norm",
-        "bloch-of-qutrit", "hermitian-nan", "hermitian-inf"])
+        "bloch-nan", "bloch-inf", "bloch-of-qutrit", "hermitian-nan", "hermitian-inf"])
 def test_rejects_bad_input(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -47,6 +47,19 @@ class TestConstraint:
     def test_accepts_spectral_extreme(self):
         Constraint(np.kron(ID2, PAULI_Z), 1.0, label="m")
 
+    def test_complex_target(self):
+        X = np.kron(ID2, PAULI_Z)
+        omega = np.diag([0.4, 0.1, 0.3, 0.2]).astype(complex)
+        # a numpy complex mean, real to round-off, keeps its real part
+        target = np.trace(omega @ X) + 1e-12j
+        assert isinstance(target, np.complex128)
+        c = Constraint(X, target, label="m")
+        assert type(c.target) is float and c.target == pytest.approx(0.4)
+        assert Constraint(X, complex(0.3, 0.0), label="m").target == 0.3
+        for bad in (np.complex128(0.3 + 1e-6j), 0.3 + 0.1j):
+            with pytest.raises(InvariantError, match=r"constraint 'm': target has imaginary part"):
+                Constraint(X, bad, label="m")
+
     def test_keeps_its_own_operator(self):
         X = np.kron(ID2, PAULI_Z).astype(complex)
         c = Constraint(X, 0.9, label="m")
@@ -600,3 +613,16 @@ class TestSampleShots:
             sample_shots(1.5, 10, 0)
         with pytest.raises(ValueError):
             sample_shots(0.0, 0, 0)
+
+    @pytest.mark.parametrize("mean", [np.nan, np.inf, -1.5])
+    def test_rejects_mean_outside_the_unit_interval(self, mean):
+        with pytest.raises(InvariantError, match=r"outside \[-1, 1\]"):
+            sample_shots(mean, 10, 0)
+
+    @pytest.mark.parametrize("shots", [10.5, 10.0, True, -3])
+    def test_rejects_shots_that_are_not_a_positive_integer(self, shots):
+        with pytest.raises(ValueError, match="positive integer"):
+            sample_shots(0.5, shots, 1)
+
+    def test_accepts_numpy_integer_shots(self):
+        assert sample_shots(0.5, np.int64(10), 1) == sample_shots(0.5, 10, 1)

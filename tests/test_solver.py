@@ -1,4 +1,5 @@
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,10 +38,11 @@ from procmaxent.linalg import (
     bloch_to_density,
     dag,
     frobenius,
+    real_coordinates,
     spectrum_entropy,
 )
 from procmaxent.oracles import oracle_O1_mixed, oracle_O1_pure, oracle_O3, oracle_O4
-from procmaxent.solver import _least_squares_state, _newton
+from procmaxent.solver import _least_squares_state, _newton, _span_coordinates
 
 from conftest import (
     probe_tomography,
@@ -77,6 +79,13 @@ class TestDualEval:
         with pytest.raises(DimensionError, match="fix the dimension"):
             dual_eval([], [])
 
+    def test_constraint_and_base_dimensions_differ(self):
+        c = Constraint(np.kron(ID2, PAULI_Z), 0.1, label="z")
+        with pytest.raises(DimensionError, match=r"'z' has shape \(4, 4\), expected \(3, 3\)"):
+            dual_eval([0.1], [c], base=np.zeros((3, 3)))
+        with pytest.raises(DimensionError, match=r"'x' has shape \(2, 2\), expected \(4, 4\)"):
+            dual_eval([0.1, 0.1], [c, Constraint(PAULI_X, 0.0, label="x")])
+
     def test_gradient_matches_finite_differences(self, rng):
         cons = [
             Constraint(random_hermitian(4, rng), 0.0, label=f"c{j}")
@@ -91,9 +100,12 @@ class TestDualEval:
             fd = (dual_eval(lam + e, cons).value - dual_eval(lam - e, cons).value) / (2 * h)
             assert abs(fd - pt.gradient[j]) < 1e-6 * max(1.0, abs(fd))
 
-    @pytest.mark.parametrize("case", ["random", "base", "degenerate", "overflow"])
+    @pytest.mark.parametrize("case", ["random", "base", "degenerate", "overflow", "blocks"])
     def test_hessian_matches_finite_differences(self, rng, case):
-        dim, n = 6, 5
+        # "blocks": a stack that dual_hessian transforms in two blocks
+        dim, n = (16, 40) if case == "blocks" else (6, 5)
+        if case == "blocks":
+            assert n > solver_module._BLOCK_BYTES // (16 * dim ** 2)
         cons = [
             Constraint(random_hermitian(dim, rng), 0.0, label=f"c{j}")
             for j in range(n)
@@ -428,7 +440,8 @@ class TestStopRule:
         # gradient norm above _GRAD_TOL; Newton stops at the first iterate
         # that meets every constraint to 5 _GRAD_TOL
         obs = pure_output_projector_record(2, 1)
-        _, pt, iterations = _newton(obs.operators, obs.targets, np.zeros((4, 4), dtype=complex))
+        _, pt, iterations = _newton(obs.operators, real_coordinates(obs.operators), obs.targets,
+                                    np.zeros((4, 4), dtype=complex))
         tol = solver_module._GRAD_TOL
         assert tol < np.abs(pt.gradient).max() <= 5.0 * tol
         assert iterations < solver_module._MAX_ITER
@@ -476,6 +489,25 @@ class TestNewtonConvergence:
             if sol.iterations > 20 or sol.residuals.max() > 1e-9:
                 bad.append((i, sol.iterations, sol.residuals.max()))
         assert not bad
+
+
+class TestWorkingMemory:
+    def test_newton_solve_holds_one_operator_stack(self):
+        # a depolarised d = 4 record that Newton solves from the
+        # least-squares start; a solve that copied the operator stack or
+        # transformed all of it at once in dual_hessian would read 4.25
+        rng = np.random.default_rng([4, 4])
+        truth = ChoiState(4, 0.75 * random_channel(4, 16, rng).matrix + 0.25 * np.eye(16) / 16)
+        obs = simulate_means(truth, probe_tomography(4, 4, rng))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sol = solve_maxent(obs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert sol.iterations > 0
+        assert peak <= 3 * obs.operators.nbytes
 
 
 def _state_map(out):
@@ -531,11 +563,11 @@ class TestFeasibleStart:
         rng = np.random.default_rng([d, probes, seed])
         obs = simulate_means(random_channel(d, d * d, rng), probe_tomography(d, probes, rng))
         base = np.zeros((d * d, d * d), dtype=complex)
-        start = _least_squares_state(obs.operators, obs.targets,
-                                     obs.operators, obs.targets, base)[2]
+        F = _span_coordinates(obs.operators)
+        start = _least_squares_state(obs.operators, obs.targets, F, obs.targets, base)[2]
         assert start is not None
         entropies = [
-            spectrum_entropy(_newton(obs.operators, obs.targets, base, lam)[1].p)
+            spectrum_entropy(_newton(obs.operators, F[1:], obs.targets, base, lam)[1].p)
             for lam in (None, start)
         ]
         assert abs(entropies[0] - entropies[1]) <= 1e-9
